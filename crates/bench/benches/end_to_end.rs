@@ -40,6 +40,15 @@ fn bench(out: &mut Vec<BenchResult>, name: &str, iters: u64, mut f: impl FnMut()
     });
 }
 
+/// Benchmarks one simtest run, plan and every oracle included, of `seed`
+/// under the axes the command-line `flags` select.
+fn simtest_case(out: &mut Vec<BenchResult>, name: &str, iters: u64, seed: u64, flags: &str) {
+    let axes: simtest::Axes = flags.parse().expect("valid simtest flags");
+    bench(out, name, iters, || {
+        black_box(simtest::run_plan(&simtest::plan(seed, &axes), 0).expect("oracles hold"));
+    });
+}
+
 /// Every e2e case is gated by `--check`; the simulator has no cold paths
 /// worth exempting here.
 const GATED_PREFIXES: &[&str] = &[
@@ -126,57 +135,29 @@ fn main() {
     // cluster whose drive is partly broken. Seed 0 drives reads into a
     // defect cluster (one surfaced EIO), so the bio retry path and the
     // error propagation stack are on the measured path.
-    bench(out, "degraded_simtest/disk_faults_seed0", iters, || {
-        let p = simtest::plan_full(0, simtest::DISK_BATCHES, false, true);
-        let opts = simtest::RunOptions {
-            disk_faults: true,
-            ..simtest::RunOptions::default()
-        };
-        black_box(simtest::run_plan(&p, opts).expect("oracles hold"));
-    });
-
-    bench(
-        out,
-        "degraded_cluster/overlap_2_clients_seed1",
-        iters,
-        || {
-            let p = simtest::plan_full(1, simtest::DISK_BATCHES, true, true);
-            let opts = simtest::RunOptions {
-                clients: 2,
-                disk_faults: true,
-                ..simtest::RunOptions::default()
-            };
-            black_box(simtest::run_plan(&p, opts).expect("oracles hold"));
-        },
-    );
+    let name = "degraded_simtest/disk_faults_seed0";
+    simtest_case(out, name, iters, 0, "--disk-faults");
+    let name = "degraded_cluster/overlap_2_clients_seed1";
+    simtest_case(out, name, iters, 1, "--clients 2 --overlap --disk-faults");
 
     // Crash-consistency end-to-end: the UNSTABLE-write workload with the
     // nfsd-outage batch turned into a mid-gather server crash — the cost
     // of simulating write-behind, gathering, the verifier-mismatch rewrite
     // loop, and the write-loss oracle set on top of the fault schedule.
-    bench(out, "degraded_writeloss/crash_seed0", iters, || {
-        let p = simtest::plan(0, simtest::DEFAULT_BATCHES);
-        let opts = simtest::RunOptions {
-            write_loss: true,
-            ..simtest::RunOptions::default()
-        };
-        black_box(simtest::run_plan(&p, opts).expect("oracles hold"));
-    });
+    simtest_case(
+        out,
+        "degraded_writeloss/crash_seed0",
+        iters,
+        0,
+        "--write-loss",
+    );
 
     // Forced-TCP end-to-end: the full fault schedule (including the
     // TCP-only total-blackout window) against the timed segment engine —
     // the cost of simulating RTO backoff ladders, per-segment timers, and
     // blackout abort/recovery with all oracles on.
-    bench(out, "degraded_tcp/tcp_blackout_seed0", iters, || {
-        let p = simtest::plan_forced(
-            0,
-            simtest::DEFAULT_BATCHES,
-            false,
-            false,
-            Some(netsim::TransportKind::Tcp),
-        );
-        black_box(simtest::run_plan(&p, simtest::RunOptions::default()).expect("oracles hold"));
-    });
+    let name = "degraded_tcp/tcp_blackout_seed0";
+    simtest_case(out, name, iters, 0, "--transport tcp");
 
     // Metadata end-to-end: the build-tree walk replayed through the full
     // installation with the attribute cache armed — the cost of the
@@ -210,14 +191,7 @@ fn main() {
     // The simtest meta-storm mode end-to-end: the full fault schedule
     // under the metadata-heavy workload with the attribute cache armed —
     // the cost of the storm mix plus the attrcache-books oracle set.
-    bench(out, "attr_storm/simtest_seed0", iters, || {
-        let p = simtest::plan(0, simtest::DEFAULT_BATCHES);
-        let opts = simtest::RunOptions {
-            meta_storm: true,
-            ..simtest::RunOptions::default()
-        };
-        black_box(simtest::run_plan(&p, opts).expect("oracles hold"));
-    });
+    simtest_case(out, "attr_storm/simtest_seed0", iters, 0, "--meta-storm");
 
     // SSD end-to-end: the same NFS pipeline with the flash backend
     // underneath — the cost of the channel/die completion math on the

@@ -1,85 +1,64 @@
 //! Deterministic fault-injection simulation tests for the NFS world.
 //!
 //! FoundationDB-style simulation testing: a single `u64` seed generates a
-//! randomized multi-process workload (readers, writers, getattr pollers)
-//! over [`NfsWorld`], injects faults mid-run — frame-loss bursts, link
-//! degradation, server stalls, `nfsd`/`nfsiod` pool resizing, total
-//! zero-`nfsd` outages, forced cache flushes, and (with `--disk-faults`)
-//! server disk faults: latent sector errors, a stuck TCQ tag, firmware
-//! stall windows, fail-slow regions — and checks invariant *oracles*
-//! after every event batch:
+//! randomized multi-process workload over [`NfsWorld`], injects faults
+//! mid-run — frame-loss bursts, link degradation, server stalls,
+//! `nfsd`/`nfsiod` pool resizing, total zero-`nfsd` outages, forced cache
+//! flushes, and (with `--disk-faults`) server disk faults: latent sector
+//! errors, a stuck TCQ tag, firmware stall windows, fail-slow regions —
+//! and checks invariant *oracles* as it goes.
 //!
-//! - **monotone time**: simulated time never runs backwards, and no
-//!   operation completes before it was issued;
-//! - **op accounting**: every issued [`OpId`] completes exactly once, with
-//!   its own tag, as `Ok` or a typed `RpcTimedOut` / `Eio`;
-//! - **no stuck operations**: quiescence (no pending events) with
-//!   operations still outstanding is a failure, reported with the hung
-//!   xids;
-//! - **block conservation**: every client-cache block miss is fetched by
-//!   exactly one non-retransmit READ RPC (`rpcs == predicted demand
-//!   misses + read-ahead RPCs`);
-//! - **RPC conservation**: link-level message counts reconcile exactly
-//!   with client transmissions, server call/duplicate/orphan counts, and
-//!   replies;
-//! - **restore composition**: after a fault batch is reverted — including
-//!   an *overlapping* batch where two fault kinds were active at once —
-//!   every host's link profile, both daemon pools, and the drive's fault
-//!   model are back at their baseline values;
-//! - **restore baseline**: across any batch without an installed disk
-//!   fault model the drive produces zero new error completions;
-//! - **disk books**: bio error completions reconcile exactly with retries
-//!   plus propagated `EIO`s, every `EIO` is a hard error or an exhausted
-//!   transient, no request exceeds the retry cap, and every server `EIO`
-//!   is attributed to a specific client;
-//! - **TCP books** (TCP runs): per client and direction, every segment
-//!   ever sent is acked, in flight, or tracked as lost; every segment
-//!   that survived the link was delivered exactly once; in-order
-//!   delivery was never violated;
-//! - **determinism**: the same seed reproduces the bit-exact same run
-//!   fingerprint (TCP runs fold the segment-engine books in too).
+//! A run is fully described by its seed and one [`Axes`] value:
 //!
-//! The workload generalises to a cluster: with [`RunOptions::clients`]
-//! greater than one, the same seed drives N client hosts (each with its
-//! own files, cursors, and RNG-derived streams inside the world) against
-//! the one shared server, and the conservation oracles reconcile the
-//! *summed* per-host books against the server's.
+//! - [`Workload`]: `Read` (readers, writers, getattr pollers over FILE_SYNC),
+//!   `WriteLoss` (UNSTABLE writes with interleaved closes; every
+//!   `nfsd`-outage batch becomes a mid-gather server crash that loses the
+//!   dirty pool and changes the write verifier), or `MetaStorm` (GETATTR
+//!   polls, open()-style revalidations, LOOKUP/READDIR traffic, with the
+//!   client attribute cache armed at `acregmin=3,acregmax=60`);
+//! - `clients`: client hosts sharing the one server; the conservation
+//!   oracles reconcile the *summed* per-host books against the server's;
+//! - `overlap`: faults land in pairs that stay active together;
+//! - `disk_faults`: the four disk kinds join the schedule, which grows
+//!   from [`DEFAULT_BATCHES`] to [`DISK_BATCHES`] batches;
+//! - `transport`: forced TCP or UDP instead of the seed's draw (forced TCP
+//!   adds a total-blackout fault on one client's links);
+//! - `hist_oracle`: collect every latency into a [`LogHist`] and an exact
+//!   list, and check one against the other at the end of the run.
 //!
-//! With [`RunOptions::write_loss`] the mount switches to the NFSv3 async
-//! write path (UNSTABLE WRITEs, server-side write gathering, COMMIT on
-//! close) and the workload becomes write-heavy with interleaved closes.
-//! Every `nfsd`-outage batch turns into a *crash*: the run drains only a
-//! few milliseconds — less than the gather window, so UNSTABLE data is
-//! still sitting in the server's dirty pool — then the server loses its
-//! pool and changes its write verifier. Three crash-consistency oracles
-//! join the set:
+//! Each entry of [`ORACLES`] checks one invariant, once per event, at
+//! every batch boundary, or at the end of the run:
 //!
-//! - **no committed loss**: every block a completed `close()` reported
-//!   stable is actually on the server's stable storage;
-//! - **dirty books**: blocks stashed in the server's dirty pool equal
-//!   blocks flushed + blocks lost to crashes + the live gauge, at every
-//!   batch boundary;
-//! - **crash detection**: a verifier mismatch implies a restart happened,
-//!   a rewritten block implies a mismatch was detected, and (in clean
-//!   runs) the async machinery never wakes on a FILE_SYNC mount.
+//! | oracle | scope | axes it runs on |
+//! |---|---|---|
+//! | `bounded-progress` | event | all: the run stays within its event budget |
+//! | `monotone-time` | event | all: time never runs backwards; no op completes before its issue |
+//! | `op-accounting` | event | all: every op completes once, was issued, and keeps its tag |
+//! | `no-committed-loss` | event | `WriteLoss`: a close that returned `Ok` left its blocks on stable storage |
+//! | `restore-composition` | batch | all: after a revert, every host's link, both pools and the drive are at baseline |
+//! | `no-stuck-ops` | batch | all: quiescence leaves no op or RPC outstanding |
+//! | `dirty-books` | batch | all: stashed = flushed + lost + pooled dirty blocks |
+//! | `restore-baseline` | batch | all: a drive without a fault model produces no error completions |
+//! | `write-behind-drained` | end | `WriteLoss`: no uncommitted block once every file is closed |
+//! | `block-conservation` | end | all: READ RPCs = predicted demand misses + read-aheads |
+//! | `rpc-conservation` | end | all: calls delivered = server arrivals (UDP: transmissions = link messages) |
+//! | `reply-conservation` | end | all: replies delivered = client arrivals (UDP: replies = link messages) |
+//! | `server-conservation` | end | all: replies + stale drops = calls accepted |
+//! | `contention-attribution` | end | all: per-client ejections, duplicates and EIOs sum to the server's |
+//! | `disk-books` | end | all: errors = retries + EIOs; EIOs = hard + exhausted; none without `disk_faults` |
+//! | `bounded-retries` | end | all: no request exceeds the bio retry cap |
+//! | `tcp-books` | end | TCP runs: sent = acked + in flight + lost; delivered = link survivors |
+//! | `tcp-order` | end | TCP runs: no in-order delivery violation |
+//! | `crash-detection` | end | all: a verifier mismatch needs a restart; a rewrite needs a mismatch |
+//! | `async-dormancy` | end | `Read`, `MetaStorm`: the async write path never wakes |
+//! | `attrcache-books` | end | `MetaStorm`: hits + wire GETATTRs = getattr-class ops; wire = misses + revalidations |
+//! | `attrcache-dormancy` | end | `Read`, `WriteLoss`: the disarmed cache has zero counters and entries |
+//! | `latency-histogram` | end | `hist_oracle`: streaming p50..p99.9 agree with the exact order statistics |
+//! | `determinism` | two runs | all, via [`run_seed_checked`]: the same seed gives the same report |
 //!
-//! With [`RunOptions::meta_storm`] the workload flips to a
-//! metadata-heavy mix (GETATTR pollers, open()-style revalidations,
-//! LOOKUPs, READDIR chunks, occasional writes) and the client attribute
-//! cache arms at the classic `acregmin=3,acregmax=60` timeouts. Two
-//! oracle families join the set:
-//!
-//! - **attrcache-books**: every getattr-class op is a cache hit or a wire
-//!   GETATTR; every wire GETATTR is a miss or a revalidation; staleness
-//!   detections never exceed revalidations;
-//! - **attrcache-dormancy** (always on in *non*-storm runs): with the
-//!   cache disarmed every attribute-cache counter is zero and the cache
-//!   holds no entries — the machinery is provably inert by default.
-//!
-//! Every failure message carries a one-line reproduction command:
-//! `SIMTEST_SEED=<n> cargo run -p simtest -- --seed <n>` (plus
-//! `--clients N` / `--overlap` / `--disk-faults` / `--write-loss` /
-//! `--meta-storm` when those modes were active).
+//! Every failure carries a one-line reproduction command built from the
+//! run's [`Axes`], e.g. `SIMTEST_SEED=17 cargo run -p simtest -- --seed 17
+//! --clients 2 --overlap`; [`Axes::from_args`] parses those flags back.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
@@ -87,11 +66,14 @@ use std::fmt;
 use diskfault::{FaultPlan, FaultState};
 use netsim::{LinkProfile, LinkStats, TransportKind};
 use nfsproto::{FileHandle, StableHow};
-use nfssim::{BlockState, ClientHostConfig, ClientStats, NfsWorld, OpId, OpOutcome, WorldConfig};
+use nfssim::{
+    BlockState, ClientHostConfig, ClientStats, NfsWorld, OpDone, OpId, OpOutcome, ServerStats,
+    WorldConfig,
+};
 use simcore::{LogHist, SimDuration, SimRng, SimTime};
 use testbed::Rig;
 
-/// Batches per run with the default options: seven fault batches (one per
+/// Batches per run without disk faults: seven fault batches (one per
 /// [`FaultKind`], shuffled by seed) interleaved with clean batches, plus a
 /// clean tail to observe recovery.
 pub const DEFAULT_BATCHES: usize = 16;
@@ -103,6 +85,9 @@ pub const DISK_BATCHES: usize = 24;
 
 /// Event budget per run; exhausting it fails the bounded-progress oracle.
 const STEP_BUDGET: u64 = 5_000_000;
+
+/// Seeds a command line without `--seed`/`--seeds` sweeps.
+const DEFAULT_SEEDS: u64 = 16;
 
 const FILES: usize = 3;
 const FILE_BLOCKS: u64 = 64;
@@ -193,68 +178,182 @@ impl FaultKind {
     }
 }
 
-/// Everything a run does, derived purely from the seed.
+/// The operation mix a run drives. Exactly one per run: each adds draws
+/// to the workload stream, so the three never mix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Workload {
+    /// Reads (mostly sequential per-file cursors), single-block writes and
+    /// getattr pollers over a FILE_SYNC mount.
+    Read,
+    /// UNSTABLE writes with interleaved closes; every `nfsd`-outage batch
+    /// becomes a mid-gather server crash.
+    WriteLoss,
+    /// GETATTR/LOOKUP/READDIR-heavy, with the attribute cache armed.
+    MetaStorm,
+}
+
+/// Every setting a run takes besides its seed. Its [`fmt::Display`] form
+/// is the command-line flags that reproduce it, and [`Axes::from_args`]
+/// parses them back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Axes {
+    /// The operation mix.
+    pub workload: Workload,
+    /// Client hosts sharing the server (1 = the classic world).
+    pub clients: usize,
+    /// Pack faults into pairs that are active together.
+    pub overlap: bool,
+    /// Shuffle the [`FaultKind::DISK`] kinds into the schedule (the run
+    /// lengthens to [`DISK_BATCHES`]).
+    pub disk_faults: bool,
+    /// Force the transport instead of drawing it from the seed.
+    pub transport: Option<TransportKind>,
+    /// Record every latency and run the latency-histogram oracle.
+    pub hist_oracle: bool,
+}
+
+impl Axes {
+    /// The classic run: the read workload on one client, one fault per
+    /// fault batch, no disk faults, a seed-drawn transport.
+    pub const DEFAULT: Axes = Axes {
+        workload: Workload::Read,
+        clients: 1,
+        overlap: false,
+        disk_faults: false,
+        transport: None,
+        hist_oracle: false,
+    };
+
+    /// Event batches per run: every scheduled fault kind lands.
+    fn batches(&self) -> usize {
+        if self.disk_faults {
+            DISK_BATCHES
+        } else {
+            DEFAULT_BATCHES
+        }
+    }
+
+    /// Parses a `simtest` command line (program name excluded) into the
+    /// axes and the seeds to run: `--seed N` runs one seed, otherwise
+    /// `--seeds N` (default 16) seeds from `--start N` (default 0). A
+    /// repeated flag keeps its last value. An unknown argument, a value
+    /// that does not parse, `--clients 0`, and two workloads at once are
+    /// errors.
+    pub fn from_args<S: AsRef<str>>(args: &[S]) -> Result<(Axes, Vec<u64>), String> {
+        fn number<T: std::str::FromStr>(flag: &str, v: Option<&str>) -> Result<T, String> {
+            let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
+            v.parse()
+                .map_err(|_| format!("{flag} {v:?}: expected a non-negative integer"))
+        }
+        let mut axes = Axes::DEFAULT;
+        let (mut single, mut start, mut count) = (None, 0u64, DEFAULT_SEEDS);
+        let mut it = args.iter().map(AsRef::as_ref);
+        while let Some(flag) = it.next() {
+            match flag {
+                "--seed" => single = Some(number(flag, it.next())?),
+                "--start" => start = number(flag, it.next())?,
+                "--seeds" => count = number(flag, it.next())?,
+                "--clients" => match number(flag, it.next())? {
+                    0 => return Err("--clients must be at least 1".into()),
+                    n => axes.clients = n,
+                },
+                "--transport" => {
+                    axes.transport = Some(match it.next() {
+                        Some("tcp") => TransportKind::Tcp,
+                        Some("udp") => TransportKind::Udp,
+                        v => return Err(format!("--transport {v:?}: expected tcp or udp")),
+                    })
+                }
+                "--overlap" => axes.overlap = true,
+                "--disk-faults" => axes.disk_faults = true,
+                "--hist-oracle" => axes.hist_oracle = true,
+                "--write-loss" | "--meta-storm" => {
+                    let w = if flag == "--write-loss" {
+                        Workload::WriteLoss
+                    } else {
+                        Workload::MetaStorm
+                    };
+                    if axes.workload != Workload::Read && axes.workload != w {
+                        return Err("--write-loss and --meta-storm are two workloads; \
+                                    a run drives one"
+                            .into());
+                    }
+                    axes.workload = w;
+                }
+                other => return Err(format!("unknown argument {other:?}")),
+            }
+        }
+        let seeds = match single {
+            Some(s) => vec![s],
+            None => {
+                let end = start
+                    .checked_add(count)
+                    .ok_or("--start + --seeds overflows a u64")?;
+                (start..end).collect()
+            }
+        };
+        Ok((axes, seeds))
+    }
+}
+
+/// Parses the flags [`Axes`] displays as (seed flags are accepted and
+/// ignored), so `axes.to_string().parse() == Ok(axes)`.
+impl std::str::FromStr for Axes {
+    type Err = String;
+
+    fn from_str(flags: &str) -> Result<Axes, String> {
+        let args: Vec<&str> = flags.split_whitespace().collect();
+        Axes::from_args(&args).map(|(axes, _)| axes)
+    }
+}
+
+impl fmt::Display for Axes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "--clients {}", self.clients)?;
+        if self.overlap {
+            write!(f, " --overlap")?;
+        }
+        if self.disk_faults {
+            write!(f, " --disk-faults")?;
+        }
+        match self.workload {
+            Workload::Read => {}
+            Workload::WriteLoss => write!(f, " --write-loss")?,
+            Workload::MetaStorm => write!(f, " --meta-storm")?,
+        }
+        match self.transport {
+            Some(TransportKind::Tcp) => write!(f, " --transport tcp")?,
+            Some(TransportKind::Udp) => write!(f, " --transport udp")?,
+            None => {}
+        }
+        if self.hist_oracle {
+            write!(f, " --hist-oracle")?;
+        }
+        Ok(())
+    }
+}
+
+/// Everything a run does, derived purely from the seed and the axes.
 #[derive(Debug, Clone)]
 pub struct SimPlan {
     /// The seed the plan was derived from.
     pub seed: u64,
-    /// Number of event batches.
-    pub batches: usize,
-    /// Transport under test (3 in 4 seeds use UDP, the paper's default).
+    /// The settings the plan was derived for.
+    pub axes: Axes,
+    /// Transport under test: forced by the axes, else drawn (3 in 4 seeds
+    /// use UDP, the paper's default).
     pub transport: TransportKind,
     /// `(batch, kind)` fault schedule; each fault lasts until its batch's
     /// revert. With overlap scheduling two kinds share one batch.
     pub faults: Vec<(usize, FaultKind)>,
-    /// Whether the schedule packs fault *pairs* into shared batches.
-    pub overlap: bool,
-    /// Whether [`FaultKind::DISK`] kinds were shuffled into the schedule.
-    pub disk_faults: bool,
-    /// Set when the transport axis was forced (`--transport tcp|udp`)
-    /// instead of seed-drawn; forced-TCP plans additionally schedule
-    /// [`FaultKind::TcpBlackout`].
-    pub forced_transport: Option<TransportKind>,
 }
 
-/// Knobs that are not part of the seed-derived plan.
-#[derive(Debug, Clone, Copy)]
-pub struct RunOptions {
-    /// Mutation check: this many server replies are counted in the books
-    /// but never transmitted, which a healthy oracle set must catch.
-    pub sabotage_replies: u32,
-    /// Client hosts in the cluster under test (1 = the classic world).
-    pub clients: usize,
-    /// Shuffle the [`FaultKind::DISK`] kinds into the fault schedule
-    /// (lengthening the run to [`DISK_BATCHES`]).
-    pub disk_faults: bool,
-    /// Mount UNSTABLE (the NFSv3 async write path), run a write-heavy
-    /// workload with interleaved closes, and turn every `nfsd`-outage
-    /// batch into a mid-gather server crash (dirty pool lost, write
-    /// verifier changed). Adds the crash-consistency oracle set.
-    pub write_loss: bool,
-    /// Metadata-storm mode: the workload becomes GETATTR/LOOKUP/READDIR
-    /// heavy with open()-style forced revalidations, and the client
-    /// attribute cache arms at `acregmin=3s`/`acregmax=60s`. Adds the
-    /// attrcache-books oracle. Ignored when [`RunOptions::write_loss`] is
-    /// also set (the write workload wins and the cache stays off).
-    pub meta_storm: bool,
-    /// Record every operation's latency into a [`LogHist`] alongside an
-    /// exact list, and run the latency-histogram oracle at end of run:
-    /// counts reconcile, quantiles are monotone, the streaming p50/p99/
-    /// p99.9 agree with the exact order statistics within the histogram's
-    /// documented relative-error bound, and the tail is inside the run.
-    pub hist_oracle: bool,
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            sabotage_replies: 0,
-            clients: 1,
-            disk_faults: false,
-            write_loss: false,
-            meta_storm: false,
-            hist_oracle: false,
-        }
+impl SimPlan {
+    fn kinds_at(&self, batch: usize) -> impl Iterator<Item = FaultKind> + '_ {
+        self.faults
+            .iter()
+            .filter(move |&&(b, _)| b == batch)
+            .map(|&(_, k)| k)
     }
 }
 
@@ -263,6 +362,8 @@ impl Default for RunOptions {
 pub struct RunReport {
     /// The seed that generated the run.
     pub seed: u64,
+    /// The settings the run used.
+    pub axes: Axes,
     /// Transport used.
     pub transport: TransportKind,
     /// Operations issued.
@@ -283,17 +384,6 @@ pub struct RunReport {
     pub rpc_timeouts: u64,
     /// Faults injected, in schedule order.
     pub faults: Vec<FaultKind>,
-    /// Client hosts the run drove.
-    pub clients: usize,
-    /// Whether faults were injected in overlapping pairs.
-    pub overlap: bool,
-    /// Whether disk fault kinds were in the schedule.
-    pub disk_faults: bool,
-    /// Whether the run used the async write path with crash injection.
-    pub write_loss: bool,
-    /// Whether the run used the metadata-storm workload with the
-    /// attribute cache armed.
-    pub meta_storm: bool,
     /// GETATTR RPCs the clients put on the wire (misses + revalidations).
     pub getattr_rpcs: u64,
     /// Getattr-class ops the attribute cache answered locally.
@@ -317,11 +407,11 @@ pub struct RunReport {
     pub blocks_rewritten: u64,
     /// Server restarts injected (each one changes the write verifier).
     pub restarts: u64,
-    /// Streaming p99 operation latency, nanoseconds (0 unless the run
-    /// collected the latency histogram — [`RunOptions::hist_oracle`]).
+    /// Streaming p99 operation latency, nanoseconds (0 unless
+    /// [`Axes::hist_oracle`]).
     pub lat_p99_ns: u64,
-    /// Streaming p99.9 operation latency, nanoseconds (0 unless the run
-    /// collected the latency histogram).
+    /// Streaming p99.9 operation latency, nanoseconds (0 unless
+    /// [`Axes::hist_oracle`]).
     pub lat_p999_ns: u64,
     /// Order-sensitive hash of every completion and the final counters;
     /// equal across runs of the same seed iff the world is deterministic.
@@ -339,167 +429,72 @@ pub struct OracleFailure {
     pub oracle: &'static str,
     /// What it saw.
     pub detail: String,
-    /// Cluster width of the failing run.
-    pub clients: usize,
-    /// Whether the failing run used overlapping fault pairs.
-    pub overlap: bool,
-    /// Whether the failing run scheduled disk fault kinds.
-    pub disk_faults: bool,
-    /// Whether the failing run used the async write path with crashes.
-    pub write_loss: bool,
-    /// Whether the failing run used the metadata-storm workload.
-    pub meta_storm: bool,
-    /// Whether (and how) the failing run forced the transport axis.
-    pub forced_transport: Option<TransportKind>,
+    /// The settings of the failing run.
+    pub axes: Axes,
 }
 
 impl fmt::Display for OracleFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "simtest oracle `{}` failed: {}\n  reproduce with: SIMTEST_SEED={} cargo run -p simtest -- --seed {}",
-            self.oracle, self.detail, self.seed, self.seed
-        )?;
-        if self.clients > 1 {
-            write!(f, " --clients {}", self.clients)?;
-        }
-        if self.overlap {
-            write!(f, " --overlap")?;
-        }
-        if self.disk_faults {
-            write!(f, " --disk-faults")?;
-        }
-        if self.write_loss {
-            write!(f, " --write-loss")?;
-        }
-        if self.meta_storm {
-            write!(f, " --meta-storm")?;
-        }
-        match self.forced_transport {
-            Some(TransportKind::Tcp) => write!(f, " --transport tcp")?,
-            Some(TransportKind::Udp) => write!(f, " --transport udp")?,
-            None => {}
-        }
-        Ok(())
+            "simtest oracle `{}` failed: {}\n  reproduce with: SIMTEST_SEED={} cargo run -p simtest -- --seed {} {}",
+            self.oracle, self.detail, self.seed, self.seed, self.axes
+        )
     }
 }
 
 impl std::error::Error for OracleFailure {}
 
-/// Derives the full run plan from a seed.
-pub fn plan(seed: u64, batches: usize) -> SimPlan {
-    plan_with(seed, batches, false)
-}
-
-/// Derives a run plan, optionally packing faults into overlapping pairs.
+/// Derives the run plan from a seed.
 ///
-/// With `overlap` false, one fault lands on each odd batch (the classic
-/// schedule, each kind followed by a clean recovery batch). With `overlap`
-/// true, *two* distinct fault kinds land on each odd batch and stay active
-/// together until the batch's revert — the concurrent-failure mode (a loss
-/// burst during a server stall, an outage during a cache flush, ...).
-/// Transport choice and the kind shuffle draw the same RNG stream either
-/// way, so the two modes explore the same per-seed fault orderings.
-pub fn plan_with(seed: u64, batches: usize, overlap: bool) -> SimPlan {
-    plan_full(seed, batches, overlap, false)
-}
-
-/// [`plan_with`] plus disk faults: with `disk_faults` true the
-/// [`FaultKind::DISK`] kinds join the shuffle (pass [`DISK_BATCHES`] so
-/// all eleven kinds land). The disk-free plan draws the identical RNG
-/// stream as before disk faults existed, so pinned fingerprints hold.
-pub fn plan_full(seed: u64, batches: usize, overlap: bool, disk_faults: bool) -> SimPlan {
-    plan_forced(seed, batches, overlap, disk_faults, None)
-}
-
-/// [`plan_full`] with the transport axis forced instead of seed-drawn
-/// (`--transport tcp|udp`). The transport draw is still made — and then
-/// overridden — so the kind shuffle and every later workload draw stay on
-/// the seed's usual stream. Forcing TCP also appends
-/// [`FaultKind::TcpBlackout`] to the shuffle: 8 classic kinds fit the
-/// default 16 batches, 12 fit [`DISK_BATCHES`], so the whole existing
-/// fault matrix runs under TCP *plus* the blackout window the old inline
-/// engine could never survive.
-pub fn plan_forced(
-    seed: u64,
-    batches: usize,
-    overlap: bool,
-    disk_faults: bool,
-    forced: Option<TransportKind>,
-) -> SimPlan {
+/// Without `overlap`, one fault lands on each odd batch (each kind followed
+/// by a clean recovery batch); with it, *two* distinct kinds share each odd
+/// batch and stay active together until the batch's revert. The transport
+/// draw is made even when the axes force the transport, so the kind
+/// shuffle and every later workload draw stay on the seed's usual stream.
+/// Forcing TCP appends [`FaultKind::TcpBlackout`] to the shuffle.
+pub fn plan(seed: u64, axes: &Axes) -> SimPlan {
+    let axes = Axes {
+        clients: axes.clients.max(1),
+        ..*axes
+    };
     let mut rng = SimRng::from_seed_and_stream(seed, 0x53_49_4D_54_45_53_54); // "SIMTEST"
     let drawn = if rng.gen_range(0u32..4) == 3 {
         TransportKind::Tcp
     } else {
         TransportKind::Udp
     };
-    let transport = forced.unwrap_or(drawn);
     let mut kinds = FaultKind::ALL.to_vec();
-    if disk_faults {
+    if axes.disk_faults {
         kinds.extend(FaultKind::DISK);
     }
-    if forced == Some(TransportKind::Tcp) {
+    if axes.transport == Some(TransportKind::Tcp) {
         kinds.push(FaultKind::TcpBlackout);
     }
     rng.shuffle(&mut kinds);
-    // With the default 16 batches every run exercises all seven classic
-    // kinds (24 fit all eleven when disk kinds are in).
     let faults = kinds
         .into_iter()
         .enumerate()
         .map(|(i, k)| {
-            let slot = if overlap { i / 2 } else { i };
+            let slot = if axes.overlap { i / 2 } else { i };
             (1 + 2 * slot, k)
         })
-        .filter(|&(b, _)| b < batches)
+        .filter(|&(b, _)| b < axes.batches())
         .collect();
     SimPlan {
         seed,
-        batches,
-        transport,
+        axes,
+        transport: axes.transport.unwrap_or(drawn),
         faults,
-        overlap,
-        disk_faults,
-        forced_transport: forced,
     }
 }
 
-/// Runs one seed with the default plan and options.
-pub fn run_seed(seed: u64) -> Result<RunReport, OracleFailure> {
-    run_plan(&plan(seed, DEFAULT_BATCHES), RunOptions::default())
-}
-
 /// Runs one seed twice and adds the determinism oracle: both runs must
-/// produce the bit-exact same fingerprint.
-pub fn run_seed_checked(seed: u64) -> Result<RunReport, OracleFailure> {
-    run_seed_checked_with(seed, RunOptions::default(), false)
-}
-
-/// [`run_seed_checked`] with explicit options and overlap scheduling.
-pub fn run_seed_checked_with(
-    seed: u64,
-    opts: RunOptions,
-    overlap: bool,
-) -> Result<RunReport, OracleFailure> {
-    run_seed_checked_forced(seed, opts, overlap, None)
-}
-
-/// [`run_seed_checked_with`] with the transport axis forced
-/// (`--transport tcp|udp`); see [`plan_forced`].
-pub fn run_seed_checked_forced(
-    seed: u64,
-    opts: RunOptions,
-    overlap: bool,
-    forced: Option<TransportKind>,
-) -> Result<RunReport, OracleFailure> {
-    let batches = if opts.disk_faults {
-        DISK_BATCHES
-    } else {
-        DEFAULT_BATCHES
-    };
-    let p = plan_forced(seed, batches, overlap, opts.disk_faults, forced);
-    let first = run_plan(&p, opts)?;
-    let second = run_plan(&p, opts)?;
+/// produce the same report, fingerprint included.
+pub fn run_seed_checked(seed: u64, axes: &Axes) -> Result<RunReport, OracleFailure> {
+    let p = plan(seed, axes);
+    let first = run_plan(&p, 0)?;
+    let second = run_plan(&p, 0)?;
     if first != second {
         return Err(OracleFailure {
             seed,
@@ -508,45 +503,106 @@ pub fn run_seed_checked_forced(
                 "same seed diverged: fingerprints {:#x} vs {:#x}",
                 first.fingerprint, second.fingerprint
             ),
-            clients: opts.clients,
-            overlap,
-            disk_faults: opts.disk_faults,
-            write_loss: opts.write_loss,
-            meta_storm: opts.meta_storm,
-            forced_transport: forced,
+            axes: p.axes,
         });
     }
     Ok(first)
 }
+
+/// Executes a plan and checks every oracle. Returns the report of a clean
+/// run, or the first invariant violation.
+///
+/// `sabotage_replies` is the mutation check: that many server replies
+/// from batch 1 on are counted in the books but never transmitted, which
+/// a healthy oracle set must catch. Pass 0 for a normal run.
+pub fn run_plan(plan: &SimPlan, sabotage_replies: u32) -> Result<RunReport, OracleFailure> {
+    let mut bk = Books::new(plan);
+    for batch in 0..plan.axes.batches() {
+        bk.run_batch(plan, batch, sabotage_replies)?;
+    }
+    if plan.axes.workload == Workload::WriteLoss {
+        bk.close_every_file(plan.axes.batches())?;
+    }
+    bk.finish()
+}
+
+// ----------------------------------------------------------------------
+// The run: one world and the books the oracles read.
+// ----------------------------------------------------------------------
 
 struct IssueRec {
     tag: u64,
     at: SimTime,
 }
 
-/// The run's mutable accounting state, threaded through every drain so the
-/// crash-injection path can drain in several pieces (a partial drain up to
-/// a horizon, then the post-crash drain) without duplicating the oracle
-/// bookkeeping. The recording order inside [`drain_until`] is exactly the
-/// old inline loop's, so clean-mode fingerprints are unmoved.
+/// A `close()` in flight: which client and file, and the blocks it
+/// promises are on stable storage when it returns `Ok`.
+struct CloseRec {
+    cl: usize,
+    f: usize,
+    snap: BTreeSet<u64>,
+}
+
+/// The world under test and every piece of accounting the oracles read.
+/// Oracles only read it; the run loop alone writes it.
 struct Books {
+    w: NfsWorld,
+    base: WorldConfig,
+    seed: u64,
+    axes: Axes,
+    transport: TransportKind,
+    rng: SimRng,
+    fhs: Vec<Vec<FileHandle>>,
+    /// Per-(client, file) read cursors.
+    cursors: Vec<[u64; FILES]>,
+    /// Per-(client, file) sequential write cursors (write-loss).
+    wcursors: Vec<[u64; FILES]>,
+    /// Every op issued; an op's tag is its index in issue order.
     issued: BTreeMap<OpId, IssueRec>,
     completed: HashSet<OpId>,
-    /// Latency collection for the hist oracle; `None` when the oracle is
-    /// off, so default runs do no extra work and no extra allocation.
+    /// Latency collection for the hist oracle, `(streaming, exact)`;
+    /// `None` when the oracle is off, so default runs do no extra work.
     lat: Option<(LogHist, Vec<u64>)>,
+    /// Blocks the workload predicted a demand READ RPC for (absent from
+    /// the issuing client's cache at issue time).
     predicted_demand: u64,
     /// Getattr-class ops (GETATTR polls + open()-style revalidations) the
-    /// meta-storm workload issued; the attrcache-books oracle checks every
-    /// one was either a cache hit or a wire GETATTR.
+    /// meta-storm workload issued.
     predicted_getattr_class: u64,
     ok_ops: u64,
     timed_out_ops: u64,
     eio_ops: u64,
-    next_tag: u64,
     fp: u64,
     last_now: SimTime,
     steps: u64,
+    fault_active: bool,
+    fault_log: Vec<FaultKind>,
+    /// Disk error completions at the last batch boundary with no fault
+    /// model installed — the restore-baseline oracle's watermark.
+    clean_watch: Option<u64>,
+    /// Write-loss: blocks written per (client, file) since its last close.
+    shadow: HashMap<(usize, usize), BTreeSet<u64>>,
+    /// Write-loss: files with a close in flight (the world forbids two
+    /// concurrent closes of one file).
+    close_pending: HashSet<(usize, usize)>,
+    close_ops: HashMap<OpId, CloseRec>,
+}
+
+/// One event's completions, as the per-event oracles see them before they
+/// are booked.
+struct Event<'a> {
+    batch: usize,
+    t: SimTime,
+    done: &'a [OpDone],
+}
+
+/// Cluster-wide counters at the end of the run.
+struct Totals {
+    c: ClientStats,
+    s: ServerStats,
+    c2s: LinkStats,
+    s2c: LinkStats,
+    bio: ffs::BioStats,
 }
 
 fn mix(fp: &mut u64, v: u64) {
@@ -557,141 +613,770 @@ fn mix(fp: &mut u64, v: u64) {
     }
 }
 
-/// Drains events, checking the per-event oracles (bounded progress,
-/// monotone time, op accounting) and folding each completion into the
-/// fingerprint. With a `horizon` the drain stops *before* the first event
-/// past it — the crash path uses this to freeze the world mid-gather.
-/// Returns each completion as `(op, completed_ok)` so the caller can run
-/// mode-specific bookkeeping (the crash-consistency close oracles) on top.
-fn drain_until<F>(
-    w: &mut NfsWorld,
-    bk: &mut Books,
-    horizon: Option<SimTime>,
-    batch: usize,
-    fail: &F,
-) -> Result<Vec<(OpId, bool)>, OracleFailure>
-where
-    F: Fn(&'static str, String) -> OracleFailure,
-{
-    let mut done = Vec::new();
-    while let Some(t) = w.next_event() {
-        if horizon.is_some_and(|h| t > h) {
-            break;
+impl Books {
+    fn new(plan: &SimPlan) -> Books {
+        let (seed, axes) = (plan.seed, plan.axes);
+        // Storm runs arm the attribute cache at the classic NFS client
+        // defaults (acregmin=3s, acregmax=60s); everywhere else both stay
+        // ZERO and the cache machinery must be provably inert.
+        let (attr_min, attr_max) = if axes.workload == Workload::MetaStorm {
+            (SimDuration::from_secs(3), SimDuration::from_secs(60))
+        } else {
+            (SimDuration::ZERO, SimDuration::ZERO)
+        };
+        let base = WorldConfig {
+            transport: plan.transport,
+            stable_how: if axes.workload == Workload::WriteLoss {
+                StableHow::Unstable
+            } else {
+                StableHow::FileSync
+            },
+            attr_timeo_min: attr_min,
+            attr_timeo_max: attr_max,
+            ..WorldConfig::default()
+        };
+        let rng = SimRng::from_seed_and_stream(seed, 0x574F_524B_4C44); // "WORKLD"
+        let fs = Rig::scsi(1).build_fs(seed);
+        let hosts = vec![ClientHostConfig::from_world(&base); axes.clients];
+        let mut w = NfsWorld::new_cluster(base, &hosts, fs, seed);
+        let fhs = (0..axes.clients)
+            .map(|c| {
+                (0..FILES)
+                    .map(|_| w.create_file_for(c, FILE_BLOCKS * BS))
+                    .collect()
+            })
+            .collect();
+        Books {
+            w,
+            base,
+            seed,
+            axes,
+            transport: plan.transport,
+            rng,
+            fhs,
+            cursors: vec![[0; FILES]; axes.clients],
+            wcursors: vec![[0; FILES]; axes.clients],
+            issued: BTreeMap::new(),
+            completed: HashSet::new(),
+            lat: axes.hist_oracle.then(|| (LogHist::new(), Vec::new())),
+            predicted_demand: 0,
+            predicted_getattr_class: 0,
+            ok_ops: 0,
+            timed_out_ops: 0,
+            eio_ops: 0,
+            fp: 0xcbf2_9ce4_8422_2325,
+            last_now: SimTime::ZERO,
+            steps: 0,
+            fault_active: false,
+            fault_log: Vec::new(),
+            clean_watch: None,
+            shadow: HashMap::new(),
+            close_pending: HashSet::new(),
+            close_ops: HashMap::new(),
         }
-        bk.steps += 1;
-        if bk.steps > STEP_BUDGET {
-            return Err(fail(
-                "bounded-progress",
-                format!(
-                    "event budget exhausted in batch {batch}; outstanding xids {:?}",
-                    w.outstanding_xids()
-                ),
-            ));
+    }
+
+    fn fail(&self, oracle: &'static str, detail: String) -> OracleFailure {
+        OracleFailure {
+            seed: self.seed,
+            oracle,
+            detail,
+            axes: self.axes,
         }
-        if t < bk.last_now {
-            return Err(fail(
-                "monotone-time",
-                format!("event time regressed: {t} after {}", bk.last_now),
-            ));
-        }
-        bk.last_now = t;
-        for d in w.advance(t) {
-            if !bk.completed.insert(d.id) {
-                return Err(fail(
-                    "op-accounting",
-                    format!("operation {:?} completed twice", d.id),
-                ));
-            }
-            let Some(rec) = bk.issued.get(&d.id) else {
-                return Err(fail(
-                    "op-accounting",
-                    format!("completion for never-issued operation {:?}", d.id),
-                ));
+    }
+
+    /// Runs every oracle of the phase's scope, in table order.
+    fn check(&self, at: At<'_>) -> Result<(), OracleFailure> {
+        for o in ORACLES {
+            let verdict = match (o.check, &at) {
+                (Check::Event(f), At::Event(ev)) => f(self, ev),
+                (Check::Batch(f), At::Batch(b)) => f(self, *b),
+                (Check::End(f), At::End(t)) => f(self, t),
+                _ => continue,
             };
-            if d.tag != rec.tag {
-                return Err(fail(
-                    "op-accounting",
-                    format!(
-                        "operation {:?} returned tag {} != issued {}",
-                        d.id, d.tag, rec.tag
-                    ),
-                ));
+            verdict.map_err(|detail| self.fail(o.name, detail))?;
+        }
+        Ok(())
+    }
+
+    /// One batch: install its disk faults, issue its operations, inject
+    /// its classic faults while they are in flight, drain to quiescence,
+    /// and check the batch oracles.
+    fn run_batch(
+        &mut self,
+        plan: &SimPlan,
+        batch: usize,
+        sabotage_replies: u32,
+    ) -> Result<(), OracleFailure> {
+        self.revert_faults();
+
+        // A media defect is only observable under reads that reach the
+        // platter, so the disk fault plan lands before the batch issues.
+        // An overlap batch may carry two disk kinds, merged into the one
+        // model the drive runs.
+        let mut disk_plan: Option<FaultPlan> = None;
+        for kind in plan.kinds_at(batch) {
+            if FaultKind::DISK.contains(&kind) {
+                let frag = self.disk_fault_plan(kind);
+                match disk_plan.as_mut() {
+                    Some(acc) => acc.merge(frag),
+                    None => disk_plan = Some(frag),
+                }
+                self.fault_active = true;
+                self.fault_log.push(kind);
             }
-            if d.done_at < rec.at {
-                return Err(fail(
-                    "monotone-time",
-                    format!(
-                        "operation {:?} finished at {} before issue at {}",
-                        d.id, d.done_at, rec.at
-                    ),
-                ));
+        }
+        if let Some(p) = disk_plan {
+            self.w
+                .set_disk_fault_model(Some(Box::new(FaultState::new(p))));
+        }
+
+        // The issuing client is drawn per operation only when the cluster
+        // is wider than one host, so single-client runs consume exactly
+        // the classic RNG stream.
+        let now = self.w.now();
+        let n_ops = self.rng.gen_range(4usize..10);
+        for _ in 0..n_ops {
+            let cl = if self.axes.clients > 1 {
+                self.rng.gen_range(0usize..self.axes.clients)
+            } else {
+                0
+            };
+            let f = self.rng.gen_range(0usize..FILES);
+            let tag = self.issued.len() as u64;
+            let id = match self.axes.workload {
+                Workload::Read => self.issue_read_mix(cl, f, now, tag),
+                Workload::WriteLoss => self.issue_write_loss(cl, f, now, tag),
+                Workload::MetaStorm => self.issue_meta_storm(cl, f, now, tag),
+            };
+            self.issued.insert(id, IssueRec { tag, at: now });
+        }
+
+        // Write-loss turns the nfsd outage into a crash. Drain only a few
+        // milliseconds first — less than the 30 ms gather window, so the
+        // batch's UNSTABLE WRITEs sit in the server's dirty pool — then,
+        // once the outage is in force, lose the pool and change the
+        // verifier: exactly the data RFC 1813 lets a server lose.
+        let crash = self.axes.workload == Workload::WriteLoss
+            && plan.kinds_at(batch).any(|k| k == FaultKind::NfsdOutage);
+        if crash {
+            let horizon = self.w.now() + SimDuration::from_millis(self.rng.gen_range(2u64..20));
+            self.drain(Some(horizon), batch)?;
+        }
+        let mut outage = false;
+        for kind in plan.kinds_at(batch) {
+            if !FaultKind::DISK.contains(&kind) {
+                self.apply_fault(kind);
+                self.fault_active = true;
+                outage |= kind == FaultKind::NfsdOutage;
+                self.fault_log.push(kind);
             }
-            if let Some((hist, exact)) = bk.lat.as_mut() {
-                let lat = d.done_at.since(rec.at).as_nanos();
+        }
+        if crash {
+            self.w.restart_server(self.w.now());
+        }
+        if batch == 1 && sabotage_replies > 0 {
+            self.w.sabotage_drop_next_replies(sabotage_replies);
+        }
+
+        // A zero-nfsd outage starves the world to quiescence with calls
+        // parked at the server; restore the pool then and drain again so
+        // every parked call is answered or retired before the batch
+        // oracles run.
+        self.drain(None, batch)?;
+        if outage {
+            self.w.set_nfsds(self.w.now(), self.base.nfsds);
+            self.drain(None, batch)?;
+        }
+        self.end_batch(batch)
+    }
+
+    /// Write-loss epilogue: revert any fault still active, close every
+    /// file on every client so each write-behind cache must drain (push,
+    /// COMMIT, verifier check, rewrite after a crash), and check the batch
+    /// oracles once more.
+    fn close_every_file(&mut self, batch: usize) -> Result<(), OracleFailure> {
+        self.revert_faults();
+        let now = self.w.now();
+        for cl in 0..self.axes.clients {
+            for f in 0..FILES {
+                if !self.close_pending.contains(&(cl, f)) {
+                    let tag = self.issued.len() as u64;
+                    let id = self.close(cl, f, now, tag);
+                    self.issued.insert(id, IssueRec { tag, at: now });
+                }
+            }
+        }
+        self.drain(None, batch)?;
+        self.end_batch(batch)
+    }
+
+    fn end_batch(&mut self, batch: usize) -> Result<(), OracleFailure> {
+        self.check(At::Batch(batch))?;
+        let errs = self.w.bio_stats().error_completions;
+        self.clean_watch = (!self.w.disk_fault_active()).then_some(errs);
+        Ok(())
+    }
+
+    /// Restores the baseline link, both pools and a healthy drive. A stall
+    /// simply expires and a flush is one-shot, so one revert composes over
+    /// however many faults were active.
+    fn revert_faults(&mut self) {
+        if std::mem::take(&mut self.fault_active) {
+            let now = self.w.now();
+            self.w.set_link_profile(self.base.link);
+            self.w.set_nfsds(now, self.base.nfsds);
+            self.w.set_nfsiods(self.base.nfsiods);
+            self.w.set_disk_fault_model(None);
+        }
+    }
+
+    /// Drains events (stopping before the first one past `horizon`, if
+    /// any), running the per-event oracles on each event's completions
+    /// before booking them.
+    fn drain(&mut self, horizon: Option<SimTime>, batch: usize) -> Result<(), OracleFailure> {
+        while let Some(t) = self.w.next_event() {
+            if horizon.is_some_and(|h| t > h) {
+                break;
+            }
+            self.steps += 1;
+            let done = self.w.advance(t);
+            self.check(At::Event(&Event {
+                batch,
+                t,
+                done: &done,
+            }))?;
+            self.book(t, &done);
+        }
+        Ok(())
+    }
+
+    /// Folds one event's (oracle-checked) completions into the books and
+    /// the fingerprint.
+    fn book(&mut self, t: SimTime, done: &[OpDone]) {
+        self.last_now = t;
+        for d in done {
+            self.completed.insert(d.id);
+            if let Some((hist, exact)) = self.lat.as_mut() {
+                let lat = d.done_at.since(self.issued[&d.id].at).as_nanos();
                 hist.add(lat);
                 exact.push(lat);
             }
             let outcome_code = match d.outcome {
                 OpOutcome::Ok => {
-                    bk.ok_ops += 1;
+                    self.ok_ops += 1;
                     0
                 }
                 OpOutcome::RpcTimedOut { xid } => {
-                    bk.timed_out_ops += 1;
+                    self.timed_out_ops += 1;
                     u64::from(xid) << 1 | 1
                 }
                 OpOutcome::Eio { xid } => {
-                    bk.eio_ops += 1;
+                    self.eio_ops += 1;
                     u64::from(xid) << 2 | 2
                 }
             };
-            mix(&mut bk.fp, d.id.0);
-            mix(&mut bk.fp, d.tag);
-            mix(&mut bk.fp, d.done_at.as_nanos());
-            mix(&mut bk.fp, outcome_code);
-            done.push((d.id, outcome_code == 0));
+            for v in [d.id.0, d.tag, d.done_at.as_nanos(), outcome_code] {
+                mix(&mut self.fp, v);
+            }
+            // A close that failed made no promise: the soft mount dropped
+            // the file's whole write-behind tracking, later writes
+            // included, so its ongoing shadow goes too.
+            if let Some(rec) = self.close_ops.remove(&d.id) {
+                self.close_pending.remove(&(rec.cl, rec.f));
+                if outcome_code != 0 {
+                    self.shadow.remove(&(rec.cl, rec.f));
+                }
+            }
         }
     }
-    Ok(done)
+
+    // ------------------------------------------------------------------
+    // Workloads. Each draws one arm in 0..10; the RNG draw order of every
+    // arm is part of the pinned fingerprints.
+    // ------------------------------------------------------------------
+
+    /// Reads, single-block writes and getattr pollers.
+    fn issue_read_mix(&mut self, cl: usize, f: usize, now: SimTime, tag: u64) -> OpId {
+        match self.rng.gen_range(0u32..10) {
+            0 => self.write_one(cl, f, now, tag),
+            1 => self.w.getattr_from(cl, now, self.fhs[cl][f], tag),
+            _ => self.read(cl, f, now, tag),
+        }
+    }
+
+    /// Sequential dirty runs feed the server's write gathering, closes
+    /// force COMMITs (and verifier comparisons) mid-run, reads keep the
+    /// demand books honest.
+    fn issue_write_loss(&mut self, cl: usize, f: usize, now: SimTime, tag: u64) -> OpId {
+        let fh = self.fhs[cl][f];
+        match self.rng.gen_range(0u32..10) {
+            0..=3 => {
+                let len = self.rng.gen_range(1u64..5);
+                let start = self.wcursors[cl][f].min(FILE_BLOCKS - len);
+                self.wcursors[cl][f] = (start + len) % FILE_BLOCKS;
+                self.shadow
+                    .entry((cl, f))
+                    .or_default()
+                    .extend(start..start + len);
+                self.w.write_from(cl, now, fh, start * BS, len * BS, tag)
+            }
+            4 if !self.close_pending.contains(&(cl, f)) => self.close(cl, f, now, tag),
+            5 => self.w.getattr_from(cl, now, fh, tag),
+            _ => self.read(cl, f, now, tag),
+        }
+    }
+
+    /// A build-tree walker's wire profile: GETATTR polls dominate,
+    /// open()-style forced revalidations and LOOKUP/READDIR ride along,
+    /// and occasional writes move the server's attributes so
+    /// revalidations can detect staleness.
+    fn issue_meta_storm(&mut self, cl: usize, f: usize, now: SimTime, tag: u64) -> OpId {
+        let fh = self.fhs[cl][f];
+        match self.rng.gen_range(0u32..10) {
+            0 => self.write_one(cl, f, now, tag),
+            1 => {
+                let name_len = self.rng.gen_range(3u32..16);
+                self.w.lookup_from(cl, now, fh, name_len, tag)
+            }
+            2 => {
+                let entries = self.rng.gen_range(4u32..32);
+                self.w.readdir_from(cl, now, fh, 0, entries, true, tag)
+            }
+            3 | 4 => {
+                self.predicted_getattr_class += 1;
+                self.w.open_from(cl, now, fh, tag)
+            }
+            5..=8 => {
+                self.predicted_getattr_class += 1;
+                self.w.getattr_from(cl, now, fh, tag)
+            }
+            _ => self.read(cl, f, now, tag),
+        }
+    }
+
+    /// A 1–3 block read, 70% continuing from the file's cursor, with every
+    /// block absent from the client cache booked as a predicted demand
+    /// miss (the block-conservation oracle's books).
+    fn read(&mut self, cl: usize, f: usize, now: SimTime, tag: u64) -> OpId {
+        let fh = self.fhs[cl][f];
+        let len = self.rng.gen_range(1u64..4);
+        let start = if self.rng.chance(0.7) {
+            self.cursors[cl][f]
+        } else {
+            self.rng.gen_range(0u64..FILE_BLOCKS)
+        }
+        .min(FILE_BLOCKS - len);
+        self.cursors[cl][f] = (start + len) % FILE_BLOCKS;
+        let misses = (start..start + len)
+            .filter(|&blk| self.w.block_state_for(cl, fh, blk) == BlockState::Absent)
+            .count();
+        self.predicted_demand += misses as u64;
+        self.w.read_from(cl, now, fh, start * BS, len * BS, tag)
+    }
+
+    fn write_one(&mut self, cl: usize, f: usize, now: SimTime, tag: u64) -> OpId {
+        let blk = self.rng.gen_range(0u64..FILE_BLOCKS);
+        self.w
+            .write_from(cl, now, self.fhs[cl][f], blk * BS, BS, tag)
+    }
+
+    /// Closes a file, snapshotting the blocks written since its last close
+    /// as the ones this close promises are durable. Blocks written while
+    /// it is in flight go to the file's next close.
+    fn close(&mut self, cl: usize, f: usize, now: SimTime, tag: u64) -> OpId {
+        self.close_pending.insert((cl, f));
+        let snap = self.shadow.remove(&(cl, f)).unwrap_or_default();
+        let id = self.w.close_from(cl, now, self.fhs[cl][f], tag);
+        self.close_ops.insert(id, CloseRec { cl, f, snap });
+        id
+    }
+
+    // ------------------------------------------------------------------
+    // Faults.
+    // ------------------------------------------------------------------
+
+    /// Applies one classic (non-disk) fault. Disk kinds go through
+    /// [`Books::disk_fault_plan`] instead, because several disk kinds in
+    /// one overlap batch share a single installed model.
+    fn apply_fault(&mut self, kind: FaultKind) {
+        let (w, rng, link) = (&mut self.w, &mut self.rng, self.base.link);
+        let now = w.now();
+        match kind {
+            // Half the time a total blackout, half the time 30% loss — on
+            // either transport. UDP blackouts force RPC timeouts; TCP
+            // blackouts exercise the segment engine's RTO backoff ladder.
+            FaultKind::LossBurst => {
+                let loss = if rng.chance(0.5) { 1.0 } else { 0.3 };
+                w.set_link_profile(LinkProfile {
+                    frame_loss: loss,
+                    ..link
+                });
+            }
+            FaultKind::LinkDegrade => w.set_link_profile(LinkProfile {
+                bandwidth: link.bandwidth / 50.0,
+                latency: SimDuration::from_micros(900),
+                jitter: 1e-3,
+                ..link
+            }),
+            FaultKind::ServerStall => {
+                let ms = rng.gen_range(50u64..400);
+                w.stall_server(now, SimDuration::from_millis(ms));
+            }
+            FaultKind::NfsdResize => w.set_nfsds(now, rng.gen_range(1usize..3)),
+            // Zero daemons: every arriving call queues and nothing is
+            // served until `run_batch` restores the pool at quiescence.
+            FaultKind::NfsdOutage => w.set_nfsds(now, 0),
+            FaultKind::NfsiodResize => w.set_nfsiods(if rng.chance(0.5) { 0 } else { 1 }),
+            FaultKind::CacheFlush => w.flush_all_caches(),
+            // A total blackout on one seed-chosen client's links; the
+            // batch revert restores every client to the baseline profile.
+            FaultKind::TcpBlackout => {
+                let victim = rng.gen_range(0..w.n_clients());
+                w.set_link_profile_for(
+                    victim,
+                    LinkProfile {
+                        frame_loss: 1.0,
+                        ..link
+                    },
+                );
+            }
+            FaultKind::SectorErrors
+            | FaultKind::StuckTag
+            | FaultKind::FirmwareStall
+            | FaultKind::FailSlow => {
+                unreachable!("disk kinds build their plans via disk_fault_plan")
+            }
+        }
+    }
+
+    /// Builds the seeded [`FaultPlan`] fragment for one disk fault kind.
+    /// All randomness is drawn here, so the installed [`FaultState`] is
+    /// draw-free. Sector errors are aimed at the blocks a seed-chosen file
+    /// is about to read (a defect nobody reads proves nothing), and drop
+    /// the data caches so the batch's reads reach the platter.
+    fn disk_fault_plan(&mut self, kind: FaultKind) -> FaultPlan {
+        let (w, rng) = (&mut self.w, &mut self.rng);
+        match kind {
+            FaultKind::SectorErrors => {
+                w.flush_all_caches();
+                let cl = rng.gen_range(0..self.fhs.len());
+                let f = rng.gen_range(0..FILES);
+                // 70% of the batch's reads continue from this cursor.
+                let blk = self.cursors[cl][f].min(FILE_BLOCKS - 1);
+                let (start, sectors) = match w.fs().inode(self.fhs[cl][f].ino) {
+                    Some(ino) => (ino.lba_of(blk), 16 * ffs::BLOCK_SECTORS),
+                    None => w.allocated_span(),
+                };
+                FaultPlan::seeded_sector_errors(rng, start, sectors)
+            }
+            FaultKind::StuckTag => FaultPlan::seeded_stuck_tag(rng),
+            FaultKind::FirmwareStall => FaultPlan::seeded_firmware_stall(rng, w.now()),
+            FaultKind::FailSlow => {
+                let (start, sectors) = w.allocated_span();
+                FaultPlan::seeded_fail_slow(rng, start, sectors)
+            }
+            other => unreachable!("{other:?} is not a disk fault kind"),
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // End of run.
+    // ------------------------------------------------------------------
+
+    fn finish(mut self) -> Result<RunReport, OracleFailure> {
+        let w = &self.w;
+        let n = self.axes.clients;
+        let t = Totals {
+            c: sum_client_stats(w),
+            s: w.server_stats(),
+            c2s: sum_link_stats((0..n).map(|i| w.c2s_stats_for(i))),
+            s2c: sum_link_stats((0..n).map(|i| w.s2c_stats_for(i))),
+            bio: w.bio_stats(),
+        };
+        if let Some((_, exact)) = self.lat.as_mut() {
+            exact.sort_unstable();
+        }
+        self.check(At::End(&t))?;
+        self.fold_counters(&t);
+        let q = |p| {
+            self.lat
+                .as_ref()
+                .and_then(|(h, _)| h.quantile(p))
+                .unwrap_or(0)
+        };
+        let (lat_p99_ns, lat_p999_ns) = (q(0.99), q(0.999));
+        let (c, s) = (&t.c, &t.s);
+        Ok(RunReport {
+            seed: self.seed,
+            axes: self.axes,
+            transport: self.transport,
+            ops: c.ops,
+            ok_ops: self.ok_ops,
+            timed_out_ops: self.timed_out_ops,
+            eio_ops: self.eio_ops,
+            disk_retries: t.bio.retries,
+            disk_eios: s.disk_eios,
+            retransmits: c.retransmits,
+            rpc_timeouts: c.rpc_timeouts,
+            faults: self.fault_log,
+            getattr_rpcs: c.getattr_rpcs,
+            attr_cache_hits: c.attr_cache_hits,
+            attr_revalidations: c.attr_revalidations,
+            attr_stale_detected: c.attr_stale_detected,
+            unstable_writes: s.unstable_writes,
+            commits: s.commits,
+            gather_flushes: s.gather_flushes,
+            dirty_blocks_lost: s.dirty_blocks_lost,
+            verifier_mismatches: c.verifier_mismatches,
+            blocks_rewritten: c.blocks_rewritten,
+            restarts: s.restarts,
+            lat_p99_ns,
+            lat_p999_ns,
+            fingerprint: self.fp,
+            sim_nanos: self.last_now.as_nanos(),
+        })
+    }
+
+    /// Folds the final counters into the fingerprint. Each axis folds in
+    /// its own books only when it is on, so turning one axis on never
+    /// moves another mode's pinned fingerprints.
+    fn fold_counters(&mut self, t: &Totals) {
+        let (c, s, bio) = (&t.c, &t.s, &t.bio);
+        let mut vs = vec![c.ops, c.rpcs, c.readahead_rpcs, c.retransmits];
+        vs.extend([c.rpc_timeouts, c.transmissions, s.reads, s.replies]);
+        vs.extend([s.reordered, self.last_now.as_nanos()]);
+        if self.axes.disk_faults {
+            vs.extend([bio.error_completions, bio.retries, bio.eio, s.disk_eios]);
+        }
+        match self.axes.workload {
+            Workload::Read => {}
+            Workload::WriteLoss => {
+                vs.extend([s.unstable_writes, s.commits, s.gather_flushes]);
+                vs.extend([s.dirty_blocks_stashed, s.dirty_blocks_flushed]);
+                vs.extend([s.dirty_blocks_lost, s.restarts, c.write_rpcs]);
+                vs.extend([c.commit_rpcs, c.verifier_mismatches, c.blocks_rewritten]);
+            }
+            Workload::MetaStorm => {
+                vs.extend([c.getattr_rpcs, c.lookup_rpcs, c.readdir_rpcs]);
+                vs.extend([c.attr_cache_hits, c.attr_cache_misses]);
+                vs.extend([c.attr_revalidations, c.attr_stale_detected]);
+                vs.extend([c.attr_invalidations, s.getattrs, s.lookups, s.readdirs]);
+            }
+        }
+        if self.transport == TransportKind::Tcp {
+            // The segment engine's internal schedule, summed over clients
+            // and both directions.
+            let mut sum = [0u64; 6];
+            for (a, b) in (0..self.axes.clients).filter_map(|cl| self.w.tcp_stats_for(cl)) {
+                for t in [a, b] {
+                    let row = [t.segments_sent, t.retransmits, t.fast_retransmits];
+                    let row = row
+                        .into_iter()
+                        .chain([t.timeouts, t.rto_backoffs, t.lost_tracked]);
+                    for (acc, v) in sum.iter_mut().zip(row) {
+                        *acc += v;
+                    }
+                }
+            }
+            vs.extend(sum);
+        }
+        for v in vs {
+            mix(&mut self.fp, v);
+        }
+    }
 }
 
-/// Crash-consistency bookkeeping for one drain's completions: a `close()`
-/// that completed `Ok` promised every block written *before it was issued*
-/// (its shadow snapshot) is on stable storage. Blocks written after the
-/// close started stay in the ongoing shadow for the file's next close to
-/// account for. A close that failed (`Eio`/`RpcTimedOut`) made no promise
-/// — the soft mount dropped the file's entire write-behind tracking,
-/// later-issued writes included — so both its snapshot and the ongoing
-/// shadow are discarded without the check.
-fn settle_closes<F>(
-    w: &NfsWorld,
-    done: &[(OpId, bool)],
-    close_ops: &mut HashMap<OpId, (usize, usize, BTreeSet<u64>)>,
-    close_pending: &mut HashSet<(usize, usize)>,
-    shadow: &mut HashMap<(usize, usize), BTreeSet<u64>>,
-    fhs: &[Vec<FileHandle>],
-    fail: &F,
-) -> Result<(), OracleFailure>
-where
-    F: Fn(&'static str, String) -> OracleFailure,
-{
-    for &(id, ok) in done {
-        let Some((cl, f, snap)) = close_ops.remove(&id) else {
-            continue;
-        };
-        close_pending.remove(&(cl, f));
-        if !ok {
-            shadow.remove(&(cl, f));
-            continue;
+/// Sums one counter struct per client host into cluster-wide books. The
+/// literal names every field (no `..`), so a new counter is a compile
+/// error here until it is summed.
+fn sum_client_stats(w: &NfsWorld) -> ClientStats {
+    (0..w.n_clients())
+        .map(|c| w.client_stats_for(c))
+        .fold(ClientStats::default(), |a, s| ClientStats {
+            ops: a.ops + s.ops,
+            cache_hits: a.cache_hits + s.cache_hits,
+            rpcs: a.rpcs + s.rpcs,
+            readahead_rpcs: a.readahead_rpcs + s.readahead_rpcs,
+            retransmits: a.retransmits + s.retransmits,
+            iod_starved: a.iod_starved + s.iod_starved,
+            rpc_timeouts: a.rpc_timeouts + s.rpc_timeouts,
+            transmissions: a.transmissions + s.transmissions,
+            replies_received: a.replies_received + s.replies_received,
+            duplicate_replies: a.duplicate_replies + s.duplicate_replies,
+            eio_replies: a.eio_replies + s.eio_replies,
+            write_rpcs: a.write_rpcs + s.write_rpcs,
+            commit_rpcs: a.commit_rpcs + s.commit_rpcs,
+            closes: a.closes + s.closes,
+            verifier_mismatches: a.verifier_mismatches + s.verifier_mismatches,
+            blocks_rewritten: a.blocks_rewritten + s.blocks_rewritten,
+            // Per-stream TCP books are checked per client (`tcp-books`),
+            // never as a cluster sum.
+            tcp_c2s: a.tcp_c2s,
+            tcp_s2c: a.tcp_s2c,
+            getattr_rpcs: a.getattr_rpcs + s.getattr_rpcs,
+            lookup_rpcs: a.lookup_rpcs + s.lookup_rpcs,
+            readdir_rpcs: a.readdir_rpcs + s.readdir_rpcs,
+            attr_cache_hits: a.attr_cache_hits + s.attr_cache_hits,
+            attr_cache_misses: a.attr_cache_misses + s.attr_cache_misses,
+            attr_revalidations: a.attr_revalidations + s.attr_revalidations,
+            attr_stale_detected: a.attr_stale_detected + s.attr_stale_detected,
+            attr_invalidations: a.attr_invalidations + s.attr_invalidations,
+        })
+}
+
+fn sum_link_stats(per_host: impl Iterator<Item = LinkStats>) -> LinkStats {
+    per_host.fold(LinkStats::default(), |a, s| LinkStats {
+        messages: a.messages + s.messages,
+        lost: a.lost + s.lost,
+        bytes_delivered: a.bytes_delivered + s.bytes_delivered,
+    })
+}
+
+// ----------------------------------------------------------------------
+// The oracle table.
+// ----------------------------------------------------------------------
+
+/// When an oracle runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scope {
+    /// On every event's completions, before they are booked.
+    Event,
+    /// At every batch boundary, once the world is quiescent (and once
+    /// more after the write-loss epilogue closes every file).
+    Batch,
+    /// Once, over the cluster-wide counters at the end of the run.
+    End,
+}
+
+/// What an oracle returns: `Err` carries what it saw.
+type Verdict = Result<(), String>;
+
+#[derive(Clone, Copy)]
+enum Check {
+    Event(fn(&Books, &Event<'_>) -> Verdict),
+    Batch(fn(&Books, usize) -> Verdict),
+    End(fn(&Books, &Totals) -> Verdict),
+}
+
+/// The phase the run loop is checking.
+enum At<'a> {
+    Event(&'a Event<'a>),
+    Batch(usize),
+    End(&'a Totals),
+}
+
+/// One named invariant. An oracle that does not apply to a run's axes
+/// passes trivially.
+pub struct Oracle {
+    /// The name failures report.
+    pub name: &'static str,
+    check: Check,
+}
+
+impl Oracle {
+    /// When the oracle runs.
+    pub fn scope(&self) -> Scope {
+        match self.check {
+            Check::Event(_) => Scope::Event,
+            Check::Batch(_) => Scope::Batch,
+            Check::End(_) => Scope::End,
         }
-        for blk in snap {
-            if !w.is_durable(fhs[cl][f], blk) {
-                return Err(fail(
-                    "no-committed-loss",
-                    format!(
-                        "close {id:?} on client {cl} file {f} completed Ok \
-                         but block {blk} is not on stable storage"
-                    ),
+    }
+}
+
+const fn oracle(name: &'static str, check: Check) -> Oracle {
+    Oracle { name, check }
+}
+
+/// Every in-run oracle, in the order a phase checks them. (`determinism`
+/// compares two runs and lives in [`run_seed_checked`].)
+pub const ORACLES: &[Oracle] = &[
+    oracle("bounded-progress", Check::Event(bounded_progress)),
+    oracle("monotone-time", Check::Event(monotone_time)),
+    oracle("op-accounting", Check::Event(op_accounting)),
+    oracle("no-committed-loss", Check::Event(no_committed_loss)),
+    oracle("restore-composition", Check::Batch(restore_composition)),
+    oracle("no-stuck-ops", Check::Batch(no_stuck_ops)),
+    oracle("dirty-books", Check::Batch(dirty_books)),
+    oracle("restore-baseline", Check::Batch(restore_baseline)),
+    oracle("write-behind-drained", Check::End(write_behind_drained)),
+    oracle("block-conservation", Check::End(block_conservation)),
+    oracle("rpc-conservation", Check::End(rpc_conservation)),
+    oracle("reply-conservation", Check::End(reply_conservation)),
+    oracle("server-conservation", Check::End(server_conservation)),
+    oracle("contention-attribution", Check::End(contention_attribution)),
+    oracle("disk-books", Check::End(disk_books)),
+    oracle("bounded-retries", Check::End(bounded_retries)),
+    oracle("tcp-books", Check::End(tcp_books)),
+    oracle("tcp-order", Check::End(tcp_order)),
+    oracle("crash-detection", Check::End(crash_detection)),
+    oracle("async-dormancy", Check::End(async_dormancy)),
+    oracle("attrcache-books", Check::End(attrcache_books)),
+    oracle("attrcache-dormancy", Check::End(attrcache_dormancy)),
+    oracle("latency-histogram", Check::End(latency_histogram)),
+];
+
+/// Fails the enclosing oracle with the formatted message unless `$ok`.
+macro_rules! ensure {
+    ($ok:expr, $($msg:tt)+) => {
+        if !$ok {
+            return Err(format!($($msg)+));
+        }
+    };
+}
+
+fn bounded_progress(bk: &Books, ev: &Event<'_>) -> Verdict {
+    ensure!(
+        bk.steps <= STEP_BUDGET,
+        "event budget exhausted in batch {}; outstanding xids {:?}",
+        ev.batch,
+        bk.w.outstanding_xids()
+    );
+    Ok(())
+}
+
+fn monotone_time(bk: &Books, ev: &Event<'_>) -> Verdict {
+    let (t, last) = (ev.t, bk.last_now);
+    ensure!(t >= last, "event time regressed: {t} after {last}");
+    for d in ev.done {
+        if let Some(rec) = bk.issued.get(&d.id) {
+            let (id, done, at) = (d.id, d.done_at, rec.at);
+            ensure!(
+                done >= at,
+                "operation {id:?} finished at {done} before issue at {at}"
+            );
+        }
+    }
+    Ok(())
+}
+
+fn op_accounting(bk: &Books, ev: &Event<'_>) -> Verdict {
+    for (i, d) in ev.done.iter().enumerate() {
+        let id = d.id;
+        let twice = bk.completed.contains(&id) || ev.done[..i].iter().any(|e| e.id == id);
+        ensure!(!twice, "operation {id:?} completed twice");
+        let Some(rec) = bk.issued.get(&id) else {
+            return Err(format!("completion for never-issued operation {id:?}"));
+        };
+        let (tag, want) = (d.tag, rec.tag);
+        ensure!(
+            tag == want,
+            "operation {id:?} returned tag {tag} != issued {want}"
+        );
+    }
+    Ok(())
+}
+
+fn no_committed_loss(bk: &Books, ev: &Event<'_>) -> Verdict {
+    for d in ev.done.iter().filter(|d| d.outcome == OpOutcome::Ok) {
+        if let Some(CloseRec { cl, f, snap }) = bk.close_ops.get(&d.id) {
+            let fh = bk.fhs[*cl][*f];
+            if let Some(blk) = snap.iter().find(|&&b| !bk.w.is_durable(fh, b)) {
+                let id = d.id;
+                return Err(format!(
+                    "close {id:?} on client {cl} file {f} completed Ok \
+                     but block {blk} is not on stable storage"
                 ));
             }
         }
@@ -699,1195 +1384,400 @@ where
     Ok(())
 }
 
-/// Applies one classic (non-disk) fault to the world. Disk kinds go
-/// through [`disk_fault_plan`] instead: they build [`FaultPlan`] fragments
-/// the caller merges, because several disk kinds in one overlap batch
-/// share a single installed model.
-fn apply_fault(w: &mut NfsWorld, kind: FaultKind, rng: &mut SimRng, base: &WorldConfig) {
-    let now = w.now();
-    match kind {
-        FaultKind::LossBurst => {
-            // Half the time a total blackout, half the time 30% loss —
-            // on either transport. UDP blackouts force RPC timeouts; TCP
-            // blackouts exercise the segment engine's RTO backoff ladder
-            // (the old inline engine capped loss here because a blackout
-            // would spin its retransmission loop forever).
-            let loss = if rng.chance(0.5) { 1.0 } else { 0.3 };
-            w.set_link_profile(LinkProfile {
-                frame_loss: loss,
-                ..base.link
-            });
-        }
-        FaultKind::LinkDegrade => {
-            w.set_link_profile(LinkProfile {
-                bandwidth: base.link.bandwidth / 50.0,
-                latency: SimDuration::from_micros(900),
-                jitter: 1e-3,
-                ..base.link
-            });
-        }
-        FaultKind::ServerStall => {
-            let ms = rng.gen_range(50u64..400);
-            w.stall_server(now, SimDuration::from_millis(ms));
-        }
-        FaultKind::NfsdResize => {
-            w.set_nfsds(now, rng.gen_range(1usize..3));
-        }
-        FaultKind::NfsdOutage => {
-            // Zero daemons: every arriving call queues and nothing is
-            // served. `run_plan` restores the pool once the batch starves
-            // to quiescence, so parked calls reconcile before the
-            // end-of-batch oracles run.
-            w.set_nfsds(now, 0);
-        }
-        FaultKind::NfsiodResize => {
-            let n = if rng.chance(0.5) { 0 } else { 1 };
-            w.set_nfsiods(n);
-        }
-        FaultKind::CacheFlush => {
-            w.flush_all_caches();
-        }
-        FaultKind::TcpBlackout => {
-            // A total blackout on one seed-chosen client's links. The
-            // batch revert restores every client to the baseline profile,
-            // so no per-kind revert bookkeeping is needed.
-            let victim = rng.gen_range(0..w.n_clients());
-            w.set_link_profile_for(
-                victim,
-                LinkProfile {
-                    frame_loss: 1.0,
-                    ..base.link
-                },
+/// Checked at the end of every batch in which no fault is active, so it
+/// covers each revert (every fault batch is followed by a clean one).
+fn restore_composition(bk: &Books, batch: usize) -> Verdict {
+    if bk.fault_active {
+        return Ok(());
+    }
+    let (w, base) = (&bk.w, &bk.base);
+    for c in 0..bk.axes.clients {
+        let (link, iods) = (w.link_profile_for(c), w.nfsiods_for(c));
+        let (base_link, base_iods) = (base.link, base.nfsiods);
+        ensure!(
+            link == base_link,
+            "batch {batch}: client {c} link {link:?} != baseline {base_link:?}"
+        );
+        ensure!(
+            iods == base_iods,
+            "batch {batch}: client {c} nfsiods {iods} != baseline {base_iods}"
+        );
+    }
+    let (nfsds, base_nfsds) = (w.nfsds(), base.nfsds);
+    ensure!(
+        nfsds == base_nfsds,
+        "batch {batch}: nfsds {nfsds} != baseline {base_nfsds}"
+    );
+    ensure!(
+        !w.disk_fault_active(),
+        "batch {batch}: disk fault model still installed after revert"
+    );
+    Ok(())
+}
+
+fn no_stuck_ops(bk: &Books, batch: usize) -> Verdict {
+    let (ops, xids) = (bk.w.outstanding_ops(), bk.w.outstanding_xids());
+    ensure!(
+        ops.is_empty(),
+        "batch {batch} quiesced with operations {ops:?} hung on xids {xids:?}"
+    );
+    let hung: Vec<&OpId> = bk
+        .issued
+        .keys()
+        .filter(|id| !bk.completed.contains(id))
+        .collect();
+    ensure!(
+        hung.is_empty(),
+        "batch {batch}: operations {hung:?} never completed"
+    );
+    ensure!(
+        xids.is_empty(),
+        "batch {batch}: xids {xids:?} never retired"
+    );
+    Ok(())
+}
+
+/// Every block that entered the server's dirty pool was flushed, lost to
+/// a crash, or is still pooled (all four terms are zero on FILE_SYNC).
+fn dirty_books(bk: &Books, batch: usize) -> Verdict {
+    let s = bk.w.server_stats();
+    let (stashed, flushed, lost) = (
+        s.dirty_blocks_stashed,
+        s.dirty_blocks_flushed,
+        s.dirty_blocks_lost,
+    );
+    let pooled = bk.w.server_dirty_blocks();
+    ensure!(
+        stashed == flushed + lost + pooled,
+        "batch {batch}: stashed {stashed} != flushed {flushed} + lost {lost} + pooled {pooled}"
+    );
+    Ok(())
+}
+
+/// A drive whose fault model was removed (or never installed) produces no
+/// new error completions across a whole batch.
+fn restore_baseline(bk: &Books, batch: usize) -> Verdict {
+    let errs = bk.w.bio_stats().error_completions;
+    if let (Some(mark), false) = (bk.clean_watch, bk.w.disk_fault_active()) {
+        let new = errs - mark;
+        ensure!(
+            new == 0,
+            "batch {batch}: {new} disk error completions on a healthy drive"
+        );
+    }
+    Ok(())
+}
+
+fn write_behind_drained(bk: &Books, _: &Totals) -> Verdict {
+    if bk.axes.workload == Workload::WriteLoss {
+        for cl in 0..bk.axes.clients {
+            let left = bk.w.client_uncommitted_blocks(cl);
+            ensure!(
+                left == 0,
+                "client {cl} still tracks {left} uncommitted blocks after every file closed"
             );
         }
-        FaultKind::SectorErrors
-        | FaultKind::StuckTag
-        | FaultKind::FirmwareStall
-        | FaultKind::FailSlow => {
-            unreachable!("disk kinds build their plans via disk_fault_plan")
-        }
     }
+    Ok(())
 }
 
-/// Builds the seeded [`FaultPlan`] fragment for one disk fault kind. All
-/// randomness is drawn here, so the installed [`FaultState`] is draw-free
-/// and a faulted run is schedule-independent. Sector errors are aimed at
-/// the blocks a seed-chosen file is currently reading (a defect nobody
-/// reads proves nothing), and drop the data caches so the batch's
-/// in-flight reads reach the platter instead of the buffer cache.
-fn disk_fault_plan(
-    w: &mut NfsWorld,
-    kind: FaultKind,
-    rng: &mut SimRng,
-    fhs: &[Vec<FileHandle>],
-    cursors: &[[u64; FILES]],
-) -> FaultPlan {
-    match kind {
-        FaultKind::SectorErrors => {
-            w.flush_all_caches();
-            let cl = rng.gen_range(0..fhs.len());
-            let f = rng.gen_range(0..FILES);
-            // Anchor the defect neighbourhood at the chosen file's cursor:
-            // the faults are installed before the batch issues, and 70% of
-            // its reads continue from exactly there.
-            let blk = cursors[cl][f].min(FILE_BLOCKS - 1);
-            let (start, sectors) = match w.fs().inode(fhs[cl][f].ino) {
-                Some(ino) => (ino.lba_of(blk), 16 * ffs::BLOCK_SECTORS),
-                None => w.allocated_span(),
-            };
-            FaultPlan::seeded_sector_errors(rng, start, sectors)
-        }
-        FaultKind::StuckTag => FaultPlan::seeded_stuck_tag(rng),
-        FaultKind::FirmwareStall => FaultPlan::seeded_firmware_stall(rng, w.now()),
-        FaultKind::FailSlow => {
-            let (start, sectors) = w.allocated_span();
-            FaultPlan::seeded_fail_slow(rng, start, sectors)
-        }
-        other => unreachable!("{other:?} is not a disk fault kind"),
-    }
+/// Every predicted demand miss produced exactly one READ RPC, and every
+/// other READ RPC was a read-ahead.
+fn block_conservation(bk: &Books, t: &Totals) -> Verdict {
+    let (rpcs, demand, ra) = (t.c.rpcs, bk.predicted_demand, t.c.readahead_rpcs);
+    ensure!(
+        rpcs == demand + ra,
+        "READ RPCs {rpcs} != predicted demand misses {demand} + read-aheads {ra}"
+    );
+    Ok(())
 }
 
-/// Sums one counter struct per client host into cluster-wide books.
-fn sum_client_stats(w: &NfsWorld) -> ClientStats {
-    let mut total = ClientStats::default();
-    for c in 0..w.n_clients() {
-        let s = w.client_stats_for(c);
-        total.ops += s.ops;
-        total.cache_hits += s.cache_hits;
-        total.rpcs += s.rpcs;
-        total.readahead_rpcs += s.readahead_rpcs;
-        total.retransmits += s.retransmits;
-        total.iod_starved += s.iod_starved;
-        total.rpc_timeouts += s.rpc_timeouts;
-        total.transmissions += s.transmissions;
-        total.replies_received += s.replies_received;
-        total.duplicate_replies += s.duplicate_replies;
-        total.write_rpcs += s.write_rpcs;
-        total.commit_rpcs += s.commit_rpcs;
-        total.closes += s.closes;
-        total.verifier_mismatches += s.verifier_mismatches;
-        total.blocks_rewritten += s.blocks_rewritten;
-        total.getattr_rpcs += s.getattr_rpcs;
-        total.lookup_rpcs += s.lookup_rpcs;
-        total.readdir_rpcs += s.readdir_rpcs;
-        total.attr_cache_hits += s.attr_cache_hits;
-        total.attr_cache_misses += s.attr_cache_misses;
-        total.attr_revalidations += s.attr_revalidations;
-        total.attr_stale_detected += s.attr_stale_detected;
-        total.attr_invalidations += s.attr_invalidations;
-    }
-    total
+/// On TCP the link's `messages` includes segment retransmissions, so only
+/// delivery counts are exact there.
+fn rpc_conservation(bk: &Books, t: &Totals) -> Verdict {
+    let (sent, msgs) = (t.c.transmissions, t.c2s.messages);
+    let udp = bk.transport == TransportKind::Udp;
+    ensure!(
+        !udp || sent == msgs,
+        "client transmissions {sent} != c2s link messages {msgs}"
+    );
+    let s = &t.s;
+    let (reads, other, dups, orphans) =
+        (s.reads, s.other_calls, s.duplicates_dropped, s.orphan_calls);
+    let delivered = msgs - t.c2s.lost;
+    ensure!(
+        delivered == reads + other + dups + orphans,
+        "calls delivered {delivered} != server arrivals: reads {reads} + other {other} \
+         + duplicates {dups} + orphans {orphans}"
+    );
+    Ok(())
 }
 
-fn sum_link_stats(per_host: impl Iterator<Item = LinkStats>) -> LinkStats {
-    let mut total = LinkStats::default();
-    for s in per_host {
-        total.messages += s.messages;
-        total.lost += s.lost;
-        total.bytes_delivered += s.bytes_delivered;
-    }
-    total
+fn reply_conservation(bk: &Books, t: &Totals) -> Verdict {
+    let (replies, msgs) = (t.s.replies, t.s2c.messages);
+    let udp = bk.transport == TransportKind::Udp;
+    ensure!(
+        !udp || replies == msgs,
+        "server replies {replies} != s2c link messages {msgs}"
+    );
+    let (got, dups) = (t.c.replies_received, t.c.duplicate_replies);
+    let delivered = msgs - t.s2c.lost;
+    ensure!(
+        got + dups == delivered,
+        "replies delivered {delivered} != client arrivals {got} + duplicates {dups}"
+    );
+    Ok(())
 }
 
-/// Executes a plan and checks every oracle. Returns the report of a clean
-/// run, or the first invariant violation.
-#[allow(clippy::too_many_lines)]
-pub fn run_plan(plan: &SimPlan, opts: RunOptions) -> Result<RunReport, OracleFailure> {
-    let seed = plan.seed;
-    let clients = opts.clients.max(1);
-    let overlap = plan.overlap;
-    let disk_faults = plan.disk_faults;
-    let write_loss = opts.write_loss;
-    // The write-loss workload wins when both modes are requested: the storm
-    // arm never runs and the attribute cache stays disarmed, so the
-    // crash-consistency close books keep their exact shape.
-    let meta_storm = opts.meta_storm && !write_loss;
-    let forced_transport = plan.forced_transport;
-    let fail = move |oracle: &'static str, detail: String| OracleFailure {
-        seed,
-        oracle,
-        detail,
-        clients,
-        overlap,
-        disk_faults,
-        write_loss,
-        meta_storm,
-        forced_transport,
+/// Every accepted call is replied to or dropped as stale after acceptance.
+fn server_conservation(_: &Books, t: &Totals) -> Verdict {
+    let s = &t.s;
+    let (replies, stale, reads, other) = (s.replies, s.stale_drops, s.reads, s.other_calls);
+    ensure!(
+        replies + stale == reads + other,
+        "replies {replies} + stale drops {stale} != reads {reads} + other calls {other}"
+    );
+    Ok(())
+}
+
+/// The server's ejection, duplicate-cache and EIO totals are fully
+/// attributed to specific clients — no anonymous interference.
+fn contention_attribution(bk: &Books, t: &Totals) -> Verdict {
+    let per_client = |pick: fn(nfssim::ContentionStats) -> u64| -> u64 {
+        (0..bk.axes.clients)
+            .map(|i| pick(bk.w.contention_stats(i)))
+            .sum()
     };
-
-    let base = WorldConfig {
-        transport: plan.transport,
-        stable_how: if write_loss {
-            StableHow::Unstable
-        } else {
-            StableHow::FileSync
-        },
-        // Storm runs arm the attribute cache at the classic NFS client
-        // defaults (acregmin=3s, acregmax=60s); everywhere else both stay
-        // ZERO and the cache machinery must be provably inert.
-        attr_timeo_min: if meta_storm {
-            SimDuration::from_secs(3)
-        } else {
-            SimDuration::ZERO
-        },
-        attr_timeo_max: if meta_storm {
-            SimDuration::from_secs(60)
-        } else {
-            SimDuration::ZERO
-        },
-        ..WorldConfig::default()
-    };
-    let mut rng = SimRng::from_seed_and_stream(seed, 0x574F_524B_4C44); // "WORKLD"
-    let fs = Rig::scsi(1).build_fs(seed);
-    let hosts = vec![ClientHostConfig::from_world(&base); clients];
-    let mut w = NfsWorld::new_cluster(base, &hosts, fs, seed);
-    let fhs: Vec<Vec<FileHandle>> = (0..clients)
-        .map(|c| {
-            (0..FILES)
-                .map(|_| w.create_file_for(c, FILE_BLOCKS * BS))
-                .collect()
-        })
-        .collect();
-    let mut cursors = vec![[0u64; FILES]; clients];
-    // Write-loss bookkeeping: independent sequential write cursors, the
-    // shadow set of every block written per (client, file) since its last
-    // settled close, the in-flight close per file (the world forbids two
-    // concurrent closes of one file), and which op is a close of what.
-    let mut wcursors = vec![[0u64; FILES]; clients];
-    let mut shadow: HashMap<(usize, usize), BTreeSet<u64>> = HashMap::new();
-    let mut close_pending: HashSet<(usize, usize)> = HashSet::new();
-    let mut close_ops: HashMap<OpId, (usize, usize, BTreeSet<u64>)> = HashMap::new();
-
-    let mut bk = Books {
-        issued: BTreeMap::new(),
-        completed: HashSet::new(),
-        lat: opts.hist_oracle.then(|| (LogHist::new(), Vec::new())),
-        predicted_demand: 0,
-        predicted_getattr_class: 0,
-        ok_ops: 0,
-        timed_out_ops: 0,
-        eio_ops: 0,
-        next_tag: 0,
-        fp: 0xcbf2_9ce4_8422_2325u64,
-        last_now: SimTime::ZERO,
-        steps: 0,
-    };
-    let mut fault_active = false;
-    let mut fault_log = Vec::new();
-    // Disk error completions seen at the last batch boundary where no
-    // fault model was installed — the restore-baseline oracle's watermark.
-    let mut clean_watch: Option<u64> = None;
-
-    for batch in 0..plan.batches {
-        // Revert the previous batch's fault(s): restore the baseline link
-        // and pool sizes (a stall simply expires; a flush is one-shot).
-        // One revert must compose over however many faults were active.
-        if fault_active {
-            let now = w.now();
-            w.set_link_profile(base.link);
-            w.set_nfsds(now, base.nfsds);
-            w.set_nfsiods(base.nfsiods);
-            w.set_disk_fault_model(None);
-            fault_active = false;
-
-            // Restore-composition oracle: every host back at baseline.
-            for c in 0..clients {
-                if w.link_profile_for(c) != base.link {
-                    return Err(fail(
-                        "restore-composition",
-                        format!(
-                            "batch {batch}: client {c} link {:?} != baseline {:?}",
-                            w.link_profile_for(c),
-                            base.link
-                        ),
-                    ));
-                }
-                if w.nfsiods_for(c) != base.nfsiods {
-                    return Err(fail(
-                        "restore-composition",
-                        format!(
-                            "batch {batch}: client {c} nfsiods {} != baseline {}",
-                            w.nfsiods_for(c),
-                            base.nfsiods
-                        ),
-                    ));
-                }
-            }
-            if w.nfsds() != base.nfsds {
-                return Err(fail(
-                    "restore-composition",
-                    format!(
-                        "batch {batch}: nfsds {} != baseline {}",
-                        w.nfsds(),
-                        base.nfsds
-                    ),
-                ));
-            }
-            if w.disk_fault_active() {
-                return Err(fail(
-                    "restore-composition",
-                    format!("batch {batch}: disk fault model still installed after revert"),
-                ));
-            }
-        }
-
-        // Install this batch's disk fault (if any) *before* issuing: a
-        // media defect is only observable under reads that reach the
-        // platter, so the cache flush and fault plan land first and the
-        // batch's demand misses read straight through them. An overlap
-        // batch may carry two disk kinds, merged into the one model the
-        // drive runs.
-        let mut disk_plan: Option<FaultPlan> = None;
-        for &(b, kind) in &plan.faults {
-            if b == batch && FaultKind::DISK.contains(&kind) {
-                let frag = disk_fault_plan(&mut w, kind, &mut rng, &fhs, &cursors);
-                disk_plan = Some(match disk_plan.take() {
-                    Some(mut acc) => {
-                        acc.merge(frag);
-                        acc
-                    }
-                    None => frag,
-                });
-                fault_active = true;
-                fault_log.push(kind);
-            }
-        }
-        if let Some(p) = disk_plan {
-            w.set_disk_fault_model(Some(Box::new(FaultState::new(p))));
-        }
-
-        // Issue this batch's operations, predicting which blocks must be
-        // fetched by a demand RPC (the block-conservation oracle's books).
-        // The issuing client is drawn per operation only when the cluster
-        // is wider than one host, so single-client runs consume exactly
-        // the classic RNG stream and keep their pinned fingerprints.
-        let now = w.now();
-        let n_ops = rng.gen_range(4usize..10);
-        for _ in 0..n_ops {
-            let cl = if clients > 1 {
-                rng.gen_range(0usize..clients)
-            } else {
-                0
-            };
-            let f = rng.gen_range(0usize..FILES);
-            let fh = fhs[cl][f];
-            let tag = bk.next_tag;
-            bk.next_tag += 1;
-            let id = if write_loss {
-                // Write-heavy async-path mix: sequential dirty runs feed
-                // the server's write gathering, closes force COMMITs (and
-                // verifier comparisons) mid-run, reads keep the demand
-                // books honest. Only write-loss runs take this arm, so the
-                // clean-mode RNG stream — and its pinned fingerprints —
-                // never sees the extra draws.
-                match rng.gen_range(0u32..10) {
-                    0..=3 => {
-                        let len = rng.gen_range(1u64..5);
-                        let start = wcursors[cl][f].min(FILE_BLOCKS - len);
-                        wcursors[cl][f] = (start + len) % FILE_BLOCKS;
-                        shadow
-                            .entry((cl, f))
-                            .or_default()
-                            .extend(start..start + len);
-                        w.write_from(cl, now, fh, start * BS, len * BS, tag)
-                    }
-                    4 if !close_pending.contains(&(cl, f)) => {
-                        close_pending.insert((cl, f));
-                        let snap = shadow.remove(&(cl, f)).unwrap_or_default();
-                        let id = w.close_from(cl, now, fh, tag);
-                        close_ops.insert(id, (cl, f, snap));
-                        id
-                    }
-                    5 => w.getattr_from(cl, now, fh, tag),
-                    _ => {
-                        let len_blocks = rng.gen_range(1u64..4);
-                        let start = if rng.chance(0.7) {
-                            cursors[cl][f]
-                        } else {
-                            rng.gen_range(0u64..FILE_BLOCKS)
-                        }
-                        .min(FILE_BLOCKS - len_blocks);
-                        cursors[cl][f] = (start + len_blocks) % FILE_BLOCKS;
-                        for blk in start..start + len_blocks {
-                            if w.block_state_for(cl, fh, blk) == BlockState::Absent {
-                                bk.predicted_demand += 1;
-                            }
-                        }
-                        w.read_from(cl, now, fh, start * BS, len_blocks * BS, tag)
-                    }
-                }
-            } else if meta_storm {
-                // Metadata-storm mix: a build-tree walker's wire profile —
-                // GETATTR polls dominate, open()-style forced revalidations
-                // and LOOKUP/READDIR traffic ride along, occasional writes
-                // move the server's attributes so revalidations can detect
-                // staleness. Only storm runs take this arm, so the classic
-                // stream — and its pinned fingerprints — never sees the
-                // extra draws.
-                match rng.gen_range(0u32..10) {
-                    0 => {
-                        let blk = rng.gen_range(0u64..FILE_BLOCKS);
-                        w.write_from(cl, now, fh, blk * BS, BS, tag)
-                    }
-                    1 => {
-                        let name_len = rng.gen_range(3u32..16);
-                        w.lookup_from(cl, now, fh, name_len, tag)
-                    }
-                    2 => {
-                        let entries = rng.gen_range(4u32..32);
-                        w.readdir_from(cl, now, fh, 0, entries, true, tag)
-                    }
-                    3 | 4 => {
-                        bk.predicted_getattr_class += 1;
-                        w.open_from(cl, now, fh, tag)
-                    }
-                    5..=8 => {
-                        bk.predicted_getattr_class += 1;
-                        w.getattr_from(cl, now, fh, tag)
-                    }
-                    _ => {
-                        let len_blocks = rng.gen_range(1u64..4);
-                        let start = if rng.chance(0.7) {
-                            cursors[cl][f]
-                        } else {
-                            rng.gen_range(0u64..FILE_BLOCKS)
-                        }
-                        .min(FILE_BLOCKS - len_blocks);
-                        cursors[cl][f] = (start + len_blocks) % FILE_BLOCKS;
-                        for blk in start..start + len_blocks {
-                            if w.block_state_for(cl, fh, blk) == BlockState::Absent {
-                                bk.predicted_demand += 1;
-                            }
-                        }
-                        w.read_from(cl, now, fh, start * BS, len_blocks * BS, tag)
-                    }
-                }
-            } else {
-                match rng.gen_range(0u32..10) {
-                    0 => {
-                        let blk = rng.gen_range(0u64..FILE_BLOCKS);
-                        w.write_from(cl, now, fh, blk * BS, BS, tag)
-                    }
-                    1 => w.getattr_from(cl, now, fh, tag),
-                    _ => {
-                        let len_blocks = rng.gen_range(1u64..4);
-                        let start = if rng.chance(0.7) {
-                            cursors[cl][f]
-                        } else {
-                            rng.gen_range(0u64..FILE_BLOCKS)
-                        }
-                        .min(FILE_BLOCKS - len_blocks);
-                        cursors[cl][f] = (start + len_blocks) % FILE_BLOCKS;
-                        for blk in start..start + len_blocks {
-                            if w.block_state_for(cl, fh, blk) == BlockState::Absent {
-                                bk.predicted_demand += 1;
-                            }
-                        }
-                        w.read_from(cl, now, fh, start * BS, len_blocks * BS, tag)
-                    }
-                }
-            };
-            bk.issued.insert(id, IssueRec { tag, at: now });
-        }
-
-        // Crash batches: in write-loss mode every `nfsd` outage becomes a
-        // server crash. Drain only a few milliseconds first — less than
-        // the 30 ms gather window, so the batch's UNSTABLE WRITEs have
-        // reached the server's dirty pool but the pool has not flushed —
-        // then (below, once the outage is in force) lose the pool and
-        // change the verifier. Data acked UNSTABLE before the crash is
-        // exactly the data RFC 1813 lets a server lose.
-        let crash_batch = write_loss
-            && plan
-                .faults
-                .iter()
-                .any(|&(b, k)| b == batch && k == FaultKind::NfsdOutage);
-        if crash_batch {
-            let horizon = w.now() + SimDuration::from_millis(rng.gen_range(2u64..20));
-            let done = drain_until(&mut w, &mut bk, Some(horizon), batch, &fail)?;
-            settle_closes(
-                &w,
-                &done,
-                &mut close_ops,
-                &mut close_pending,
-                &mut shadow,
-                &fhs,
-                &fail,
-            )?;
-        }
-
-        // Inject this batch's classic fault(s) while those operations are
-        // in flight.
-        let mut outage_pending = false;
-        for &(b, kind) in &plan.faults {
-            if b == batch && !FaultKind::DISK.contains(&kind) {
-                apply_fault(&mut w, kind, &mut rng, &base);
-                fault_active = true;
-                // `|=`: under overlap scheduling a second fault in the same
-                // batch must not forget that an outage is in force.
-                outage_pending |= kind == FaultKind::NfsdOutage;
-                fault_log.push(kind);
-            }
-        }
-        if crash_batch {
-            // The outage is now in force (zero nfsds: nothing serves) and
-            // the gather window has not expired: crash. The dirty pool is
-            // lost, the verifier changes, in-flight disk I/O completes,
-            // and parked calls survive to be served after the restore.
-            w.restart_server(w.now());
-        }
-        if batch == 1 && opts.sabotage_replies > 0 {
-            w.sabotage_drop_next_replies(opts.sabotage_replies);
-        }
-
-        // Drain to quiescence, checking per-event oracles. A zero-`nfsd`
-        // outage starves the world to quiescence with calls still parked
-        // at the server (and, on TCP, operations still waiting on them:
-        // TCP never retransmits RPCs, so nothing times out). Once the
-        // world goes quiet, restore the pool and keep draining so every
-        // parked call is answered or retired stale before the
-        // end-of-batch oracles run.
-        loop {
-            let done = drain_until(&mut w, &mut bk, None, batch, &fail)?;
-            if write_loss {
-                settle_closes(
-                    &w,
-                    &done,
-                    &mut close_ops,
-                    &mut close_pending,
-                    &mut shadow,
-                    &fhs,
-                    &fail,
-                )?;
-            }
-            if outage_pending {
-                outage_pending = false;
-                w.set_nfsds(w.now(), base.nfsds);
-                continue;
-            }
-            break;
-        }
-
-        // Quiescent with operations still open: something is stuck.
-        if !w.outstanding_ops().is_empty() {
-            return Err(fail(
-                "no-stuck-ops",
-                format!(
-                    "batch {batch} quiesced with operations {:?} hung on xids {:?}",
-                    w.outstanding_ops(),
-                    w.outstanding_xids()
-                ),
-            ));
-        }
-
-        // Dirty-page books, at every batch boundary: every block that ever
-        // entered the server's dirty pool was flushed to disk, lost to a
-        // crash, or is still sitting in the pool. Cheap and always on —
-        // in clean mode all four terms are zero.
-        let ss = w.server_stats();
-        if ss.dirty_blocks_stashed
-            != ss.dirty_blocks_flushed + ss.dirty_blocks_lost + w.server_dirty_blocks()
-        {
-            return Err(fail(
-                "dirty-books",
-                format!(
-                    "batch {batch}: stashed {} != flushed {} + lost {} + pooled {}",
-                    ss.dirty_blocks_stashed,
-                    ss.dirty_blocks_flushed,
-                    ss.dirty_blocks_lost,
-                    w.server_dirty_blocks()
-                ),
-            ));
-        }
-
-        // Restore-baseline oracle: a drive whose fault model was removed
-        // (or never installed) must produce no new disk error completions
-        // across a whole batch — reverting a disk fault really returns
-        // the disk to its healthy baseline.
-        let errs = w.bio_stats().error_completions;
-        if w.disk_fault_active() {
-            clean_watch = None;
-        } else {
-            if let Some(mark) = clean_watch {
-                if errs != mark {
-                    return Err(fail(
-                        "restore-baseline",
-                        format!(
-                            "batch {batch}: {} disk error completions on a healthy drive",
-                            errs - mark
-                        ),
-                    ));
-                }
-            }
-            clean_watch = Some(errs);
-        }
-    }
-
-    // Write-loss epilogue: close every file on every client, so each
-    // client's write-behind cache must drain — every block still dirty or
-    // acked-only-UNSTABLE gets pushed, COMMITted, and verifier-checked
-    // (rewriting after any crash the run injected) before the end-of-run
-    // books are read. Any fault still active from the final batch is
-    // reverted first; the closes run against a healthy world.
-    if write_loss {
-        if fault_active {
-            let now = w.now();
-            w.set_link_profile(base.link);
-            w.set_nfsds(now, base.nfsds);
-            w.set_nfsiods(base.nfsiods);
-            w.set_disk_fault_model(None);
-            fault_active = false;
-        }
-        let now = w.now();
-        for (cl, row) in fhs.iter().enumerate().take(clients) {
-            for (f, &fh) in row.iter().enumerate().take(FILES) {
-                if close_pending.contains(&(cl, f)) {
-                    continue;
-                }
-                let tag = bk.next_tag;
-                bk.next_tag += 1;
-                close_pending.insert((cl, f));
-                let snap = shadow.remove(&(cl, f)).unwrap_or_default();
-                let id = w.close_from(cl, now, fh, tag);
-                close_ops.insert(id, (cl, f, snap));
-                bk.issued.insert(id, IssueRec { tag, at: now });
-            }
-        }
-        let done = drain_until(&mut w, &mut bk, None, plan.batches, &fail)?;
-        settle_closes(
-            &w,
-            &done,
-            &mut close_ops,
-            &mut close_pending,
-            &mut shadow,
-            &fhs,
-            &fail,
-        )?;
-        for cl in 0..clients {
-            if w.client_uncommitted_blocks(cl) != 0 {
-                return Err(fail(
-                    "write-behind-drained",
-                    format!(
-                        "client {cl} still tracks {} uncommitted blocks after every file closed",
-                        w.client_uncommitted_blocks(cl)
-                    ),
-                ));
-            }
-        }
-    }
-    let _ = fault_active;
-
-    // ------------------------------------------------------------------
-    // End-of-run oracles, over the cluster-wide summed books.
-    // ------------------------------------------------------------------
-    let c = sum_client_stats(&w);
-    let s = w.server_stats();
-    let c2s = sum_link_stats((0..clients).map(|i| w.c2s_stats_for(i)));
-    let s2c = sum_link_stats((0..clients).map(|i| w.s2c_stats_for(i)));
-
-    if bk.issued.len() != bk.completed.len() {
-        let hung: Vec<&OpId> = bk
-            .issued
-            .keys()
-            .filter(|id| !bk.completed.contains(id))
-            .collect();
-        return Err(fail(
-            "no-stuck-ops",
-            format!(
-                "{} operations never completed: {:?}; outstanding xids {:?}",
-                hung.len(),
-                hung,
-                w.outstanding_xids()
-            ),
-        ));
-    }
-    if !w.outstanding_xids().is_empty() {
-        return Err(fail(
-            "no-stuck-ops",
-            format!("xids {:?} never retired", w.outstanding_xids()),
-        ));
-    }
-
-    // Block conservation: every predicted demand miss produced exactly one
-    // READ RPC, and every other READ RPC was a read-ahead.
-    if c.rpcs != bk.predicted_demand + c.readahead_rpcs {
-        return Err(fail(
-            "block-conservation",
-            format!(
-                "READ RPCs {} != predicted demand misses {} + read-aheads {}",
-                c.rpcs, bk.predicted_demand, c.readahead_rpcs
-            ),
-        ));
-    }
-
-    // RPC conservation: link counters reconcile with both endpoints'
-    // books. On TCP the link's `messages` includes internal segment
-    // retransmissions, so only delivery counts are exact there.
-    if plan.transport == TransportKind::Udp {
-        if c.transmissions != c2s.messages {
-            return Err(fail(
-                "rpc-conservation",
-                format!(
-                    "client transmissions {} != c2s link messages {}",
-                    c.transmissions, c2s.messages
-                ),
-            ));
-        }
-        if s.replies != s2c.messages {
-            return Err(fail(
-                "reply-conservation",
-                format!(
-                    "server replies {} != s2c link messages {}",
-                    s.replies, s2c.messages
-                ),
-            ));
-        }
-    }
-    let delivered_calls = c2s.messages - c2s.lost;
-    let accepted = s.reads + s.other_calls + s.duplicates_dropped + s.orphan_calls;
-    if delivered_calls != accepted {
-        return Err(fail(
-            "rpc-conservation",
-            format!(
-                "calls delivered {delivered_calls} != server arrivals {accepted} \
-                 (reads {} + other {} + duplicates {} + orphans {})",
-                s.reads, s.other_calls, s.duplicates_dropped, s.orphan_calls
-            ),
-        ));
-    }
-    let delivered_replies = s2c.messages - s2c.lost;
-    if c.replies_received + c.duplicate_replies != delivered_replies {
-        return Err(fail(
-            "reply-conservation",
-            format!(
-                "replies delivered {delivered_replies} != client arrivals {} + duplicates {}",
-                c.replies_received, c.duplicate_replies
-            ),
-        ));
-    }
-    // Server-side conservation: every accepted call is replied to or
-    // dropped as stale after acceptance.
-    if s.replies + s.stale_drops != s.reads + s.other_calls {
-        return Err(fail(
-            "server-conservation",
-            format!(
-                "replies {} + stale drops {} != reads {} + other calls {}",
-                s.replies, s.stale_drops, s.reads, s.other_calls
-            ),
-        ));
-    }
-    // Contention attribution: the server's aggregate ejection and
-    // duplicate-cache counters must be fully accounted to specific
-    // clients — no anonymous interference.
-    let ejections_attributed: u64 = (0..clients)
-        .map(|i| w.contention_stats(i).heur_ejections_caused)
-        .sum();
-    if ejections_attributed != s.heur_ejections {
-        return Err(fail(
-            "contention-attribution",
-            format!(
-                "per-client ejections {} != server ejections {}",
-                ejections_attributed, s.heur_ejections
-            ),
-        ));
-    }
-    let dups_attributed: u64 = (0..clients)
-        .map(|i| w.contention_stats(i).duplicate_cache_hits)
-        .sum();
-    if dups_attributed != s.duplicates_dropped {
-        return Err(fail(
-            "contention-attribution",
-            format!(
-                "per-client duplicate-cache hits {} != server duplicates dropped {}",
-                dups_attributed, s.duplicates_dropped
-            ),
-        ));
-    }
-
-    // Disk error books: every error completion was either retried below
-    // NFS or surfaced as exactly one EIO; every EIO was a hard error or a
-    // transient that exhausted its retries; retries stayed within the bio
-    // layer's cap; no retry is still parked after quiescence.
-    let bio = w.bio_stats();
-    if bio.error_completions != bio.retries + bio.eio {
-        return Err(fail(
-            "disk-books",
-            format!(
-                "error completions {} != retries {} + EIOs {}",
-                bio.error_completions, bio.retries, bio.eio
-            ),
-        ));
-    }
-    if bio.eio != bio.hard_errors + bio.transient_exhausted {
-        return Err(fail(
-            "disk-books",
-            format!(
-                "EIOs {} != hard errors {} + exhausted transients {}",
-                bio.eio, bio.hard_errors, bio.transient_exhausted
-            ),
-        ));
-    }
-    if bio.max_attempts > ffs::MAX_IO_RETRIES {
-        return Err(fail(
-            "bounded-retries",
-            format!(
-                "a request was attempted {} times, cap is {}",
-                bio.max_attempts,
-                ffs::MAX_IO_RETRIES
-            ),
-        ));
-    }
-    if !plan.disk_faults && (bio.error_completions != 0 || s.disk_eios != 0) {
-        return Err(fail(
-            "disk-books",
-            format!(
-                "healthy run produced disk errors: {} completions, {} EIOs",
-                bio.error_completions, s.disk_eios
-            ),
-        ));
-    }
-    // Every EIO the server returned is attributed to a specific client.
-    let eios_attributed: u64 = (0..clients)
-        .map(|i| w.contention_stats(i).disk_eios_suffered)
-        .sum();
-    if eios_attributed != s.disk_eios {
-        return Err(fail(
-            "contention-attribution",
-            format!(
-                "per-client disk EIOs {} != server disk EIOs {}",
-                eios_attributed, s.disk_eios
-            ),
-        ));
-    }
-
-    // TCP segment books, per client per direction: every segment ever
-    // sent is acked, still in flight, or tracked as lost awaiting
-    // retransmission (at quiescence the latter two are zero unless a
-    // segment was abandoned mid-blackout); in-order delivery was never
-    // violated; and every segment that survived the link was delivered
-    // to the peer exactly once.
-    if plan.transport == TransportKind::Tcp {
-        for cl in 0..clients {
-            let Some((tc2s, ts2c)) = w.tcp_stats_for(cl) else {
-                return Err(fail(
-                    "tcp-books",
-                    format!("client {cl}: TCP run has no TCP stream stats"),
-                ));
-            };
-            for (dir, t, link) in [
-                ("c2s", tc2s, w.c2s_stats_for(cl)),
-                ("s2c", ts2c, w.s2c_stats_for(cl)),
-            ] {
-                if t.segments_sent != t.acked + t.in_flight + t.lost_tracked {
-                    return Err(fail(
-                        "tcp-books",
-                        format!(
-                            "client {cl} {dir}: segments_sent {} != acked {} \
-                             + in_flight {} + lost_tracked {}",
-                            t.segments_sent, t.acked, t.in_flight, t.lost_tracked
-                        ),
-                    ));
-                }
-                if t.order_violations != 0 {
-                    return Err(fail(
-                        "tcp-order",
-                        format!(
-                            "client {cl} {dir}: {} in-order delivery violations",
-                            t.order_violations
-                        ),
-                    ));
-                }
-                if t.delivered != link.messages - link.lost {
-                    return Err(fail(
-                        "tcp-books",
-                        format!(
-                            "client {cl} {dir}: delivered {} != link messages {} - lost {}",
-                            t.delivered, link.messages, link.lost
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-
-    // Async-write books. The dirty-page identity was checked per batch;
-    // here the crash-detection implications close the loop: the only way
-    // a client sees a verifier mismatch is an injected restart, the only
-    // way a block is rewritten is a detected mismatch, and a FILE_SYNC
-    // run must never wake the async machinery at all.
-    if s.dirty_blocks_stashed
-        != s.dirty_blocks_flushed + s.dirty_blocks_lost + w.server_dirty_blocks()
-    {
-        return Err(fail(
-            "dirty-books",
-            format!(
-                "stashed {} != flushed {} + lost {} + pooled {}",
-                s.dirty_blocks_stashed,
-                s.dirty_blocks_flushed,
-                s.dirty_blocks_lost,
-                w.server_dirty_blocks()
-            ),
-        ));
-    }
-    if c.verifier_mismatches > 0 && s.restarts == 0 {
-        return Err(fail(
-            "crash-detection",
-            format!(
-                "{} verifier mismatches with zero server restarts",
-                c.verifier_mismatches
-            ),
-        ));
-    }
-    if c.blocks_rewritten > 0 && c.verifier_mismatches == 0 {
-        return Err(fail(
-            "crash-detection",
-            format!(
-                "{} blocks rewritten with no verifier mismatch detected",
-                c.blocks_rewritten
-            ),
-        ));
-    }
-    if !write_loss
-        && (s.unstable_writes != 0
-            || s.commits != 0
-            || s.dirty_blocks_stashed != 0
-            || c.write_rpcs != 0
-            || c.commit_rpcs != 0
-            || c.verifier_mismatches != 0
-            || c.blocks_rewritten != 0)
-    {
-        return Err(fail(
-            "async-dormancy",
-            format!(
-                "FILE_SYNC run touched the async write path: server \
-                 unstable {} commits {} stashed {}, client write RPCs {} \
-                 commit RPCs {} mismatches {} rewritten {}",
-                s.unstable_writes,
-                s.commits,
-                s.dirty_blocks_stashed,
-                c.write_rpcs,
-                c.commit_rpcs,
-                c.verifier_mismatches,
-                c.blocks_rewritten
-            ),
-        ));
-    }
-
-    // Attribute-cache books. In storm mode every getattr-class op the
-    // workload issued (GETATTR polls plus open()-style revalidations) is
-    // either a local cache hit or exactly one wire GETATTR, every wire
-    // GETATTR is a cold miss or a revalidation of a known entry, and a
-    // staleness detection can only come out of a revalidation. Outside
-    // storm mode the cache is disarmed and all of its counters — and its
-    // entry table — must be zero: the machinery is provably inert.
-    if meta_storm {
-        if c.attr_cache_hits + c.getattr_rpcs != bk.predicted_getattr_class {
-            return Err(fail(
-                "attrcache-books",
-                format!(
-                    "hits {} + wire GETATTRs {} != getattr-class ops issued {}",
-                    c.attr_cache_hits, c.getattr_rpcs, bk.predicted_getattr_class
-                ),
-            ));
-        }
-        if c.getattr_rpcs != c.attr_cache_misses + c.attr_revalidations {
-            return Err(fail(
-                "attrcache-books",
-                format!(
-                    "wire GETATTRs {} != misses {} + revalidations {}",
-                    c.getattr_rpcs, c.attr_cache_misses, c.attr_revalidations
-                ),
-            ));
-        }
-        if c.attr_stale_detected > c.attr_revalidations {
-            return Err(fail(
-                "attrcache-books",
-                format!(
-                    "{} staleness detections exceed {} revalidations",
-                    c.attr_stale_detected, c.attr_revalidations
-                ),
-            ));
-        }
-    } else {
-        let entries: usize = (0..clients).map(|i| w.attr_cache_entries(i)).sum();
-        if c.attr_cache_hits != 0
-            || c.attr_cache_misses != 0
-            || c.attr_revalidations != 0
-            || c.attr_stale_detected != 0
-            || c.attr_invalidations != 0
-            || entries != 0
-        {
-            return Err(fail(
-                "attrcache-dormancy",
-                format!(
-                    "disarmed cache moved: hits {} misses {} revalidations {} \
-                     stale {} invalidations {} entries {}",
-                    c.attr_cache_hits,
-                    c.attr_cache_misses,
-                    c.attr_revalidations,
-                    c.attr_stale_detected,
-                    c.attr_invalidations,
-                    entries
-                ),
-            ));
-        }
-    }
-
-    for v in [
-        c.ops,
-        c.rpcs,
-        c.readahead_rpcs,
-        c.retransmits,
-        c.rpc_timeouts,
-        c.transmissions,
-        s.reads,
-        s.replies,
-        s.reordered,
-        bk.last_now.as_nanos(),
+    let s = &t.s;
+    for (what, attributed, total) in [
+        (
+            "ejections",
+            per_client(|c| c.heur_ejections_caused),
+            s.heur_ejections,
+        ),
+        (
+            "duplicate-cache hits",
+            per_client(|c| c.duplicate_cache_hits),
+            s.duplicates_dropped,
+        ),
+        (
+            "disk EIOs",
+            per_client(|c| c.disk_eios_suffered),
+            s.disk_eios,
+        ),
     ] {
-        mix(&mut bk.fp, v);
+        ensure!(
+            attributed == total,
+            "per-client {what} {attributed} != server {what} {total}"
+        );
     }
-    if plan.disk_faults {
-        // Disk-fault runs fold the error books into the fingerprint too.
-        // Conditional so disk-free fingerprints stay pinned.
-        for v in [bio.error_completions, bio.retries, bio.eio, s.disk_eios] {
-            mix(&mut bk.fp, v);
-        }
-    }
-    if write_loss {
-        // Write-loss runs fold the async write path's books in, so the
-        // determinism oracle covers gathering, crashes, and rewrites too.
-        // Conditional so clean-mode fingerprints stay pinned.
-        for v in [
-            s.unstable_writes,
-            s.commits,
-            s.gather_flushes,
-            s.dirty_blocks_stashed,
-            s.dirty_blocks_flushed,
-            s.dirty_blocks_lost,
-            s.restarts,
-            c.write_rpcs,
-            c.commit_rpcs,
-            c.verifier_mismatches,
-            c.blocks_rewritten,
-        ] {
-            mix(&mut bk.fp, v);
-        }
-    }
-    if meta_storm {
-        // Storm runs fold the metadata and attribute-cache books in, so
-        // the determinism oracle covers hit/miss/revalidation scheduling.
-        // Conditional so classic fingerprints stay pinned.
-        for v in [
-            c.getattr_rpcs,
-            c.lookup_rpcs,
-            c.readdir_rpcs,
-            c.attr_cache_hits,
-            c.attr_cache_misses,
-            c.attr_revalidations,
-            c.attr_stale_detected,
-            c.attr_invalidations,
-            s.getattrs,
-            s.lookups,
-            s.readdirs,
-        ] {
-            mix(&mut bk.fp, v);
-        }
-    }
-    if plan.transport == TransportKind::Tcp {
-        // TCP runs fold the summed segment books in as well, so the
-        // determinism oracle covers the retransmission engine's internal
-        // schedule, not just RPC-visible outcomes. Conditional so UDP
-        // fingerprints stay pinned.
-        let mut tsum = netsim::TcpStats::default();
-        for cl in 0..clients {
-            if let Some((a, b)) = w.tcp_stats_for(cl) {
-                for t in [a, b] {
-                    tsum.segments_sent += t.segments_sent;
-                    tsum.retransmits += t.retransmits;
-                    tsum.fast_retransmits += t.fast_retransmits;
-                    tsum.timeouts += t.timeouts;
-                    tsum.rto_backoffs += t.rto_backoffs;
-                    tsum.lost_tracked += t.lost_tracked;
-                }
-            }
-        }
-        for v in [
-            tsum.segments_sent,
-            tsum.retransmits,
-            tsum.fast_retransmits,
-            tsum.timeouts,
-            tsum.rto_backoffs,
-            tsum.lost_tracked,
-        ] {
-            mix(&mut bk.fp, v);
-        }
-    }
+    Ok(())
+}
 
-    // ------------------------------------------------------------------
-    // Latency-histogram oracle: the streaming LogHist the tail-latency
-    // instrumentation is built on must agree with ground truth.
-    // ------------------------------------------------------------------
-    let mut lat_p99_ns = 0;
-    let mut lat_p999_ns = 0;
-    if let Some((hist, mut exact)) = bk.lat.take() {
-        if hist.total() != exact.len() as u64 {
-            return Err(fail(
-                "latency-histogram",
-                format!(
-                    "histogram count {} != completions recorded {}",
-                    hist.total(),
-                    exact.len()
-                ),
-            ));
-        }
-        if !exact.is_empty() {
-            exact.sort_unstable();
-            if hist.max() != exact.last().copied() || hist.min() != exact.first().copied() {
-                return Err(fail(
-                    "latency-histogram",
-                    format!(
-                        "extremes drifted: hist {:?}..{:?} vs exact {}..{}",
-                        hist.min(),
-                        hist.max(),
-                        exact.first().expect("non-empty"),
-                        exact.last().expect("non-empty")
-                    ),
-                ));
-            }
-            // Monotone quantiles, each within the documented relative
-            // error (1/64 bucket width; allow 1/32 plus a nanosecond of
-            // slack for midpoint reporting) of the exact order statistic.
-            let mut prev = 0u64;
-            for q in [0.50, 0.90, 0.99, 0.999] {
-                let h = hist.quantile(q).expect("non-empty");
-                if h < prev {
-                    return Err(fail(
-                        "latency-histogram",
-                        format!("quantiles not monotone at p{}", q * 100.0),
-                    ));
-                }
-                prev = h;
-                let rank = (q * (exact.len() - 1) as f64).floor() as usize;
-                let e = exact[rank];
-                let tol = e / 32 + 1;
-                if h.abs_diff(e) > tol {
-                    return Err(fail(
-                        "latency-histogram",
-                        format!(
-                            "p{} drifted: streaming {h} vs exact {e} (tol {tol})",
-                            q * 100.0
-                        ),
-                    ));
-                }
-            }
-            let p999 = hist.quantile(0.999).expect("non-empty");
-            if p999 > bk.last_now.as_nanos() {
-                return Err(fail(
-                    "latency-histogram",
-                    format!(
-                        "p99.9 {} ns exceeds the whole run ({} ns)",
-                        p999,
-                        bk.last_now.as_nanos()
-                    ),
-                ));
-            }
-            lat_p99_ns = hist.quantile(0.99).expect("non-empty");
-            lat_p999_ns = p999;
+/// Every error completion was retried below NFS or surfaced as exactly one
+/// EIO; every EIO was a hard error or an exhausted transient; a run
+/// without disk faults has no errors at all.
+fn disk_books(bk: &Books, t: &Totals) -> Verdict {
+    let b = &t.bio;
+    let (errors, retries, eio) = (b.error_completions, b.retries, b.eio);
+    let (hard, exhausted, eios) = (b.hard_errors, b.transient_exhausted, t.s.disk_eios);
+    ensure!(
+        errors == retries + eio,
+        "error completions {errors} != retries {retries} + EIOs {eio}"
+    );
+    ensure!(
+        eio == hard + exhausted,
+        "EIOs {eio} != hard errors {hard} + exhausted transients {exhausted}"
+    );
+    ensure!(
+        bk.axes.disk_faults || errors + eios == 0,
+        "healthy run produced disk errors: {errors} completions, {eios} EIOs"
+    );
+    Ok(())
+}
+
+fn bounded_retries(_: &Books, t: &Totals) -> Verdict {
+    let (attempts, cap) = (t.bio.max_attempts, ffs::MAX_IO_RETRIES);
+    ensure!(
+        attempts <= cap,
+        "a request was attempted {attempts} times, cap is {cap}"
+    );
+    Ok(())
+}
+
+/// Per client and direction: every segment ever sent is acked, in flight,
+/// or tracked as lost, and every segment that survived the link was
+/// delivered exactly once.
+fn tcp_books(bk: &Books, _: &Totals) -> Verdict {
+    if bk.transport != TransportKind::Tcp {
+        return Ok(());
+    }
+    for cl in 0..bk.axes.clients {
+        let Some((c2s, s2c)) = bk.w.tcp_stats_for(cl) else {
+            return Err(format!("client {cl}: TCP run has no TCP stream stats"));
+        };
+        for (dir, t, link) in [
+            ("c2s", c2s, bk.w.c2s_stats_for(cl)),
+            ("s2c", s2c, bk.w.s2c_stats_for(cl)),
+        ] {
+            let (sent, acked, flying, lost) =
+                (t.segments_sent, t.acked, t.in_flight, t.lost_tracked);
+            ensure!(
+                sent == acked + flying + lost,
+                "client {cl} {dir}: segments_sent {sent} != acked {acked} \
+                 + in_flight {flying} + lost_tracked {lost}"
+            );
+            let (delivered, msgs, dropped) = (t.delivered, link.messages, link.lost);
+            ensure!(
+                delivered == msgs - dropped,
+                "client {cl} {dir}: delivered {delivered} != link messages {msgs} - lost {dropped}"
+            );
         }
     }
+    Ok(())
+}
 
-    Ok(RunReport {
-        seed,
-        transport: plan.transport,
-        ops: c.ops,
-        ok_ops: bk.ok_ops,
-        timed_out_ops: bk.timed_out_ops,
-        eio_ops: bk.eio_ops,
-        disk_retries: bio.retries,
-        disk_eios: s.disk_eios,
-        retransmits: c.retransmits,
-        rpc_timeouts: c.rpc_timeouts,
-        faults: fault_log,
-        clients,
-        overlap,
-        disk_faults: plan.disk_faults,
-        write_loss,
-        meta_storm,
-        getattr_rpcs: c.getattr_rpcs,
-        attr_cache_hits: c.attr_cache_hits,
-        attr_revalidations: c.attr_revalidations,
-        attr_stale_detected: c.attr_stale_detected,
-        unstable_writes: s.unstable_writes,
-        commits: s.commits,
-        gather_flushes: s.gather_flushes,
-        dirty_blocks_lost: s.dirty_blocks_lost,
-        verifier_mismatches: c.verifier_mismatches,
-        blocks_rewritten: c.blocks_rewritten,
-        restarts: s.restarts,
-        lat_p99_ns,
-        lat_p999_ns,
-        fingerprint: bk.fp,
-        sim_nanos: bk.last_now.as_nanos(),
-    })
+fn tcp_order(bk: &Books, _: &Totals) -> Verdict {
+    for cl in 0..bk.axes.clients {
+        if let Some((c2s, s2c)) = bk.w.tcp_stats_for(cl) {
+            for (dir, t) in [("c2s", c2s), ("s2c", s2c)] {
+                let bad = t.order_violations;
+                ensure!(
+                    bad == 0,
+                    "client {cl} {dir}: {bad} in-order delivery violations"
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The only way a client sees a verifier mismatch is an injected restart,
+/// and the only way a block is rewritten is a detected mismatch.
+fn crash_detection(_: &Books, t: &Totals) -> Verdict {
+    let (mismatches, rewritten) = (t.c.verifier_mismatches, t.c.blocks_rewritten);
+    ensure!(
+        mismatches == 0 || t.s.restarts > 0,
+        "{mismatches} verifier mismatches with zero server restarts"
+    );
+    ensure!(
+        rewritten == 0 || mismatches > 0,
+        "{rewritten} blocks rewritten with no verifier mismatch detected"
+    );
+    Ok(())
+}
+
+/// A FILE_SYNC run never wakes the async write machinery.
+fn async_dormancy(bk: &Books, t: &Totals) -> Verdict {
+    let (c, s) = (&t.c, &t.s);
+    let books = [
+        ("server unstable writes", s.unstable_writes),
+        ("commits", s.commits),
+        ("stashed", s.dirty_blocks_stashed),
+        ("client write RPCs", c.write_rpcs),
+        ("commit RPCs", c.commit_rpcs),
+        ("mismatches", c.verifier_mismatches),
+        ("rewritten", c.blocks_rewritten),
+    ];
+    ensure!(
+        bk.axes.workload == Workload::WriteLoss || books.iter().all(|b| b.1 == 0),
+        "FILE_SYNC run touched the async write path: {books:?}"
+    );
+    Ok(())
+}
+
+/// Every getattr-class op is a local hit or exactly one wire GETATTR,
+/// every wire GETATTR is a cold miss or a revalidation, and a staleness
+/// detection can only come out of a revalidation.
+fn attrcache_books(bk: &Books, t: &Totals) -> Verdict {
+    if bk.axes.workload != Workload::MetaStorm {
+        return Ok(());
+    }
+    let c = &t.c;
+    let (hits, wire, ops) = (
+        c.attr_cache_hits,
+        c.getattr_rpcs,
+        bk.predicted_getattr_class,
+    );
+    let (misses, revals, stale) = (
+        c.attr_cache_misses,
+        c.attr_revalidations,
+        c.attr_stale_detected,
+    );
+    ensure!(
+        hits + wire == ops,
+        "hits {hits} + wire GETATTRs {wire} != getattr-class ops issued {ops}"
+    );
+    ensure!(
+        wire == misses + revals,
+        "wire GETATTRs {wire} != misses {misses} + revalidations {revals}"
+    );
+    ensure!(
+        stale <= revals,
+        "{stale} staleness detections exceed {revals} revalidations"
+    );
+    Ok(())
+}
+
+/// With the cache disarmed every attribute-cache counter and the entry
+/// table stay zero: the machinery is provably inert by default.
+fn attrcache_dormancy(bk: &Books, t: &Totals) -> Verdict {
+    let c = &t.c;
+    let entries: usize = (0..bk.axes.clients)
+        .map(|i| bk.w.attr_cache_entries(i))
+        .sum();
+    let books = [
+        ("hits", c.attr_cache_hits),
+        ("misses", c.attr_cache_misses),
+        ("revalidations", c.attr_revalidations),
+        ("stale", c.attr_stale_detected),
+        ("invalidations", c.attr_invalidations),
+        ("entries", entries as u64),
+    ];
+    ensure!(
+        bk.axes.workload == Workload::MetaStorm || books.iter().all(|b| b.1 == 0),
+        "disarmed cache moved: {books:?}"
+    );
+    Ok(())
+}
+
+/// The streaming [`LogHist`] agrees with the exact (sorted) latencies:
+/// counts and extremes match, quantiles are monotone and each within the
+/// documented relative error (1/64 bucket width; 1/32 plus a nanosecond
+/// of slack for midpoint reporting), and the tail fits inside the run.
+fn latency_histogram(bk: &Books, _: &Totals) -> Verdict {
+    let Some((hist, exact)) = &bk.lat else {
+        return Ok(());
+    };
+    let (count, recorded) = (hist.total(), exact.len());
+    ensure!(
+        count == recorded as u64,
+        "histogram count {count} != completions recorded {recorded}"
+    );
+    let (Some(&lo), Some(&hi)) = (exact.first(), exact.last()) else {
+        return Ok(());
+    };
+    let (min, max) = (hist.min(), hist.max());
+    ensure!(
+        min == Some(lo) && max == Some(hi),
+        "extremes drifted: hist {min:?}..{max:?} vs exact {lo}..{hi}"
+    );
+    let mut prev = 0u64;
+    for q in [0.50, 0.90, 0.99, 0.999] {
+        let (h, p) = (hist.quantile(q).expect("non-empty"), q * 100.0);
+        ensure!(h >= prev, "quantiles not monotone at p{p}");
+        prev = h;
+        let e = exact[(q * (recorded - 1) as f64).floor() as usize];
+        let tol = e / 32 + 1;
+        ensure!(
+            h.abs_diff(e) <= tol,
+            "p{p} drifted: streaming {h} vs exact {e} (tol {tol})"
+        );
+    }
+    let run = bk.last_now.as_nanos();
+    ensure!(
+        prev <= run,
+        "p99.9 {prev} ns exceeds the whole run ({run} ns)"
+    );
+    Ok(())
 }

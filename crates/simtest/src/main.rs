@@ -15,6 +15,9 @@
 //! cargo run -p simtest -- --seeds 50 --hist-oracle   # + latency-hist oracle
 //! ```
 //!
+//! Flags on the command line win over the environment. A bad argument
+//! prints a message and exits with status 2 before anything runs.
+//!
 //! Every seed is run twice (the determinism oracle compares fingerprints).
 //! The first oracle failure prints a one-line reproduction command and
 //! exits non-zero.
@@ -25,66 +28,27 @@
 
 use std::process::ExitCode;
 
-use netsim::TransportKind;
-use simtest::{run_seed_checked_forced, FaultKind, RunOptions};
-
-fn parse_flag(args: &[String], name: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-fn parse_transport(args: &[String]) -> Option<TransportKind> {
-    let v = args
-        .iter()
-        .position(|a| a == "--transport")
-        .and_then(|i| args.get(i + 1))?;
-    match v.as_str() {
-        "tcp" => Some(TransportKind::Tcp),
-        "udp" => Some(TransportKind::Udp),
-        other => {
-            eprintln!("unknown --transport {other:?} (expected tcp|udp), ignoring");
-            None
-        }
-    }
-}
+use simtest::{run_seed_checked, Axes, FaultKind, Workload};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let env_seed = std::env::var("SIMTEST_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok());
-    let single = parse_flag(&args, "--seed").or(env_seed);
-    let start = parse_flag(&args, "--start").unwrap_or(0);
-    let count = parse_flag(&args, "--seeds").unwrap_or(16);
-    let clients = parse_flag(&args, "--clients")
-        .map(|n| (n as usize).max(1))
-        .or_else(nfscluster::clients_from_env)
-        .unwrap_or(1);
-    let overlap = args.iter().any(|a| a == "--overlap");
-    let disk_faults = args.iter().any(|a| a == "--disk-faults");
-    let write_loss = args.iter().any(|a| a == "--write-loss");
-    let meta_storm = args.iter().any(|a| a == "--meta-storm");
-    let hist_oracle = args.iter().any(|a| a == "--hist-oracle");
-    let forced = parse_transport(&args);
-
-    let seeds: Vec<u64> = match single {
-        Some(s) => vec![s],
-        None => (start..start + count).collect(),
-    };
-    let opts = RunOptions {
-        clients,
-        disk_faults,
-        write_loss,
-        meta_storm,
-        hist_oracle,
-        ..RunOptions::default()
+    // Environment defaults go first, so a flag given later overrides them.
+    let mut args: Vec<String> = Vec::new();
+    if let Some(n) = nfscluster::clients_from_env() {
+        args.extend(["--clients".into(), n.to_string()]);
+    }
+    if let Ok(seed) = std::env::var("SIMTEST_SEED") {
+        args.extend(["--seed".into(), seed]);
+    }
+    args.extend(std::env::args().skip(1));
+    let (axes, seeds) = match Axes::from_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("simtest: {e}");
+            return ExitCode::from(2);
+        }
     };
 
-    let results = simfleet::map_indexed(&seeds, |&seed| {
-        run_seed_checked_forced(seed, opts, overlap, forced)
-    });
+    let results = simfleet::map_indexed(&seeds, |&seed| run_seed_checked(seed, &axes));
 
     let mut failures = 0u64;
     let mut total_ops = 0u64;
@@ -105,23 +69,18 @@ fn main() -> ExitCode {
                     }
                 }
                 let faults: Vec<&str> = r.faults.iter().map(|k| k.label()).collect();
-                let crash = if r.write_loss {
-                    format!(
+                let mode = match axes.workload {
+                    Workload::Read => String::new(),
+                    Workload::WriteLoss => format!(
                         " lost={:<3} mism={:<2} rewr={:<3}",
                         r.dirty_blocks_lost, r.verifier_mismatches, r.blocks_rewritten
-                    )
-                } else {
-                    String::new()
-                };
-                let meta = if r.meta_storm {
-                    format!(
+                    ),
+                    Workload::MetaStorm => format!(
                         " gattr={:<4} hits={:<4} stale={:<3}",
                         r.getattr_rpcs, r.attr_cache_hits, r.attr_stale_detected
-                    )
-                } else {
-                    String::new()
+                    ),
                 };
-                let tail = if hist_oracle {
+                let tail = if axes.hist_oracle {
                     format!(
                         " p99={:>7.2}ms p999={:>7.2}ms",
                         r.lat_p99_ns as f64 / 1e6,
@@ -131,7 +90,7 @@ fn main() -> ExitCode {
                     String::new()
                 };
                 println!(
-                    "seed {:>6} [{:?}] ops={:<4} ok={:<4} timeout={:<3} eio={:<3} retx={:<4} rpc_to={:<3}{}{}{} sim={:>8.1}s fp={:#018x} faults={}",
+                    "seed {:>6} [{:?}] ops={:<4} ok={:<4} timeout={:<3} eio={:<3} retx={:<4} rpc_to={:<3}{}{} sim={:>8.1}s fp={:#018x} faults={}",
                     r.seed,
                     r.transport,
                     r.ops,
@@ -140,8 +99,7 @@ fn main() -> ExitCode {
                     r.eio_ops,
                     r.retransmits,
                     r.rpc_timeouts,
-                    crash,
-                    meta,
+                    mode,
                     tail,
                     r.sim_nanos as f64 / 1e9,
                     r.fingerprint,
@@ -155,27 +113,14 @@ fn main() -> ExitCode {
         }
     }
     let labels: Vec<&str> = kinds_seen.iter().map(|k| k.label()).collect();
+    let crash_books = if axes.workload == Workload::WriteLoss {
+        format!(", {total_lost} blocks crash-lost, {total_rewritten} rewritten")
+    } else {
+        String::new()
+    };
     println!(
-        "swept {} seed(s) [clients={clients}{}{}{}{}{}{}]: {} failed, {} ops, {} timed out{}, fault kinds exercised: {}",
+        "swept {} seed(s) [{axes}]: {failures} failed, {total_ops} ops, {total_timeouts} timed out{crash_books}, fault kinds exercised: {}",
         seeds.len(),
-        if overlap { ", overlap" } else { "" },
-        if disk_faults { ", disk-faults" } else { "" },
-        if write_loss { ", write-loss" } else { "" },
-        if meta_storm { ", meta-storm" } else { "" },
-        if hist_oracle { ", hist-oracle" } else { "" },
-        match forced {
-            Some(TransportKind::Tcp) => ", transport=tcp",
-            Some(TransportKind::Udp) => ", transport=udp",
-            None => "",
-        },
-        failures,
-        total_ops,
-        total_timeouts,
-        if write_loss {
-            format!(", {total_lost} blocks crash-lost, {total_rewritten} rewritten")
-        } else {
-            String::new()
-        },
         labels.join(",")
     );
     if failures > 0 {

@@ -6,12 +6,22 @@
 use std::collections::HashSet;
 
 use netsim::TransportKind;
-use simtest::{
-    plan, plan_forced, plan_with, run_plan, run_seed_checked, run_seed_checked_forced,
-    run_seed_checked_with, FaultKind, RunOptions, DEFAULT_BATCHES,
-};
+use simtest::{plan, run_plan, run_seed_checked, Axes, FaultKind};
 
 const CI_SEEDS: u64 = 10;
+
+fn axes(flags: &str) -> Axes {
+    flags.parse().expect("valid flags")
+}
+
+/// The first seed whose drawn transport is UDP: a swallowed reply on UDP
+/// is retransmitted around, so an accounting oracle (not a hang) must
+/// catch it.
+fn udp_seed() -> u64 {
+    (0..100)
+        .find(|&s| plan(s, &Axes::DEFAULT).transport == TransportKind::Udp)
+        .expect("a UDP seed among the first 100")
+}
 
 /// Every seed in the bounded sweep must pass all oracles twice (the
 /// second run feeds the determinism fingerprint comparison), and the
@@ -24,7 +34,7 @@ fn bounded_sweep_holds_all_oracles() {
     let mut retransmits = 0u64;
     let mut timed_out = 0u64;
     for seed in 0..CI_SEEDS {
-        let r = run_seed_checked(seed).unwrap_or_else(|e| panic!("{e}"));
+        let r = run_seed_checked(seed, &Axes::DEFAULT).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(r.ok_ops + r.timed_out_ops, r.ops, "seed {seed}");
         kinds.extend(r.faults.iter().copied());
         transports.insert(match r.transport {
@@ -34,15 +44,7 @@ fn bounded_sweep_holds_all_oracles() {
         retransmits += r.retransmits;
         timed_out += r.timed_out_ops;
     }
-    for required in [
-        FaultKind::LossBurst,
-        FaultKind::LinkDegrade,
-        FaultKind::ServerStall,
-        FaultKind::NfsdResize,
-        FaultKind::NfsdOutage,
-        FaultKind::NfsiodResize,
-        FaultKind::CacheFlush,
-    ] {
+    for required in FaultKind::ALL {
         assert!(
             kinds.contains(&required),
             "sweep never injected {required:?}"
@@ -63,10 +65,10 @@ fn bounded_sweep_holds_all_oracles() {
 /// identical across independent runs.
 #[test]
 fn same_seed_is_bit_exact() {
-    let a = run_seed_checked(3).unwrap_or_else(|e| panic!("{e}"));
-    let b = run_seed_checked(3).unwrap_or_else(|e| panic!("{e}"));
+    let a = run_seed_checked(3, &Axes::DEFAULT).unwrap_or_else(|e| panic!("{e}"));
+    let b = run_seed_checked(3, &Axes::DEFAULT).unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(a, b);
-    let c = run_seed_checked(4).unwrap_or_else(|e| panic!("{e}"));
+    let c = run_seed_checked(4, &Axes::DEFAULT).unwrap_or_else(|e| panic!("{e}"));
     assert_ne!(
         a.fingerprint, c.fingerprint,
         "different seeds should explore different runs"
@@ -78,20 +80,9 @@ fn same_seed_is_bit_exact() {
 /// with a printed reproduction seed.
 #[test]
 fn broken_invariant_is_caught_with_repro_seed() {
-    // Use a UDP seed so the run still terminates (the client retransmits
-    // around the swallowed reply) and the accounting oracle must do the
-    // catching, not a hang.
-    let seed = (0..100)
-        .find(|&s| plan(s, DEFAULT_BATCHES).transport == TransportKind::Udp)
-        .expect("a UDP seed among the first 100");
-    let err = run_plan(
-        &plan(seed, DEFAULT_BATCHES),
-        RunOptions {
-            sabotage_replies: 1,
-            ..RunOptions::default()
-        },
-    )
-    .expect_err("a swallowed reply must trip an oracle");
+    let seed = udp_seed();
+    let err = run_plan(&plan(seed, &Axes::DEFAULT), 1)
+        .expect_err("a swallowed reply must trip an oracle");
     let msg = err.to_string();
     assert!(
         msg.contains(&format!("SIMTEST_SEED={seed}")),
@@ -108,8 +99,8 @@ fn broken_invariant_is_caught_with_repro_seed() {
 #[test]
 fn plans_are_deterministic_and_complete() {
     for seed in 0..20u64 {
-        let a = plan(seed, DEFAULT_BATCHES);
-        let b = plan(seed, DEFAULT_BATCHES);
+        let a = plan(seed, &Axes::DEFAULT);
+        let b = plan(seed, &Axes::DEFAULT);
         assert_eq!(a.faults, b.faults, "seed {seed}");
         assert_eq!(a.transport, b.transport, "seed {seed}");
         let kinds: HashSet<FaultKind> = a.faults.iter().map(|&(_, k)| k).collect();
@@ -123,8 +114,8 @@ fn plans_are_deterministic_and_complete() {
 #[test]
 fn overlap_plans_pair_up_faults() {
     for seed in 0..20u64 {
-        let classic = plan(seed, DEFAULT_BATCHES);
-        let paired = plan_with(seed, DEFAULT_BATCHES, true);
+        let classic = plan(seed, &Axes::DEFAULT);
+        let paired = plan(seed, &axes("--overlap"));
         assert_eq!(paired.transport, classic.transport, "seed {seed}");
         let kinds: HashSet<FaultKind> = paired.faults.iter().map(|&(_, k)| k).collect();
         assert_eq!(kinds.len(), 7, "seed {seed}: {:?}", paired.faults);
@@ -148,15 +139,11 @@ fn overlap_plans_pair_up_faults() {
 fn overlapping_faults_hold_all_oracles() {
     for seed in 0..6u64 {
         for clients in [1usize, 2] {
-            let opts = RunOptions {
-                clients,
-                ..RunOptions::default()
-            };
-            let r = run_seed_checked_with(seed, opts, true).unwrap_or_else(|e| panic!("{e}"));
+            let axes = axes(&format!("--clients {clients} --overlap"));
+            let r = run_seed_checked(seed, &axes).unwrap_or_else(|e| panic!("{e}"));
             assert_eq!(r.ok_ops + r.timed_out_ops, r.ops, "seed {seed}");
             assert_eq!(r.faults.len(), 7, "all kinds injected: {:?}", r.faults);
-            assert!(r.overlap);
-            assert_eq!(r.clients, clients);
+            assert_eq!(r.axes, axes);
         }
     }
 }
@@ -166,18 +153,15 @@ fn overlapping_faults_hold_all_oracles() {
 /// counters under every fault kind.
 #[test]
 fn two_client_cluster_sweep_holds_all_oracles() {
-    let opts = RunOptions {
-        clients: 2,
-        ..RunOptions::default()
-    };
+    let axes = axes("--clients 2");
     let mut multi_host_issue = false;
     for seed in 0..CI_SEEDS {
-        let r = run_seed_checked_with(seed, opts, false).unwrap_or_else(|e| panic!("{e}"));
+        let r = run_seed_checked(seed, &axes).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(r.ok_ops + r.timed_out_ops, r.ops, "seed {seed}");
-        assert_eq!(r.clients, 2);
+        assert_eq!(r.axes.clients, 2);
         // The same seed must explore a genuinely different run than the
         // single-client world (the per-op client draw changes the stream).
-        let single = run_seed_checked(seed).unwrap_or_else(|e| panic!("{e}"));
+        let single = run_seed_checked(seed, &Axes::DEFAULT).unwrap_or_else(|e| panic!("{e}"));
         if r.fingerprint != single.fingerprint {
             multi_host_issue = true;
         }
@@ -199,9 +183,7 @@ fn forced_tcp_sweep_holds_all_oracles_through_blackouts() {
     let mut kinds: HashSet<FaultKind> = HashSet::new();
     let mut timed_out = 0u64;
     for seed in 0..6u64 {
-        let r =
-            run_seed_checked_forced(seed, RunOptions::default(), false, Some(TransportKind::Tcp))
-                .unwrap_or_else(|e| panic!("{e}"));
+        let r = run_seed_checked(seed, &axes("--transport tcp")).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(r.transport, TransportKind::Tcp, "seed {seed}");
         assert_eq!(r.ok_ops + r.timed_out_ops, r.ops, "seed {seed}");
         assert_eq!(
@@ -233,21 +215,9 @@ fn forced_tcp_sweep_holds_all_oracles_through_blackouts() {
 #[test]
 fn forced_transport_overrides_the_draw_only() {
     for seed in 0..20u64 {
-        let drawn = plan(seed, DEFAULT_BATCHES);
-        let tcp = plan_forced(
-            seed,
-            DEFAULT_BATCHES,
-            false,
-            false,
-            Some(TransportKind::Tcp),
-        );
-        let udp = plan_forced(
-            seed,
-            DEFAULT_BATCHES,
-            false,
-            false,
-            Some(TransportKind::Udp),
-        );
+        let drawn = plan(seed, &Axes::DEFAULT);
+        let tcp = plan(seed, &axes("--transport tcp"));
+        let udp = plan(seed, &axes("--transport udp"));
         assert_eq!(tcp.transport, TransportKind::Tcp, "seed {seed}");
         assert_eq!(udp.transport, TransportKind::Udp, "seed {seed}");
         let tcp_kinds: HashSet<FaultKind> = tcp.faults.iter().map(|&(_, k)| k).collect();
@@ -271,14 +241,8 @@ fn forced_transport_overrides_the_draw_only() {
 /// never retransmits RPCs), so the no-stuck-ops oracle must catch it.
 #[test]
 fn forced_tcp_failures_print_the_transport_flag() {
-    let err = run_plan(
-        &plan_forced(0, DEFAULT_BATCHES, false, false, Some(TransportKind::Tcp)),
-        RunOptions {
-            sabotage_replies: 1,
-            ..RunOptions::default()
-        },
-    )
-    .expect_err("a swallowed reply must trip an oracle");
+    let err = run_plan(&plan(0, &axes("--transport tcp")), 1)
+        .expect_err("a swallowed reply must trip an oracle");
     let msg = err.to_string();
     assert!(
         msg.contains("--transport tcp"),
@@ -287,23 +251,15 @@ fn forced_tcp_failures_print_the_transport_flag() {
     assert!(msg.contains("no-stuck-ops"), "unexpected oracle: {msg}");
 }
 
-/// Failure reports from cluster / overlap runs carry the extra repro
-/// flags, so the printed command actually reproduces the failing mode.
+/// Failure reports carry the full flag set: the printed command parses
+/// back to exactly the failing run's seed and axes.
 #[test]
 fn cluster_failures_print_full_repro_flags() {
-    let seed = (0..100)
-        .find(|&s| plan(s, DEFAULT_BATCHES).transport == TransportKind::Udp)
-        .expect("a UDP seed among the first 100");
-    let err = run_plan(
-        &plan_with(seed, DEFAULT_BATCHES, true),
-        RunOptions {
-            sabotage_replies: 1,
-            clients: 2,
-            ..RunOptions::default()
-        },
-    )
-    .expect_err("a swallowed reply must trip an oracle");
+    let seed = udp_seed();
+    let axes = axes("--clients 2 --overlap --hist-oracle");
+    let err = run_plan(&plan(seed, &axes), 1).expect_err("a swallowed reply must trip an oracle");
     let msg = err.to_string();
-    assert!(msg.contains("--clients 2"), "missing cluster flag: {msg}");
-    assert!(msg.contains("--overlap"), "missing overlap flag: {msg}");
+    let (_, command) = msg.split_once("cargo run -p simtest -- ").expect(&msg);
+    let args: Vec<&str> = command.split(' ').collect();
+    assert_eq!(Axes::from_args(&args), Ok((axes, vec![seed])), "{msg}");
 }

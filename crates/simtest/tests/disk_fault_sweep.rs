@@ -6,18 +6,12 @@
 use std::collections::HashSet;
 use std::sync::Mutex;
 
-use simtest::{
-    plan_full, run_seed_checked_with, FaultKind, RunOptions, DEFAULT_BATCHES, DISK_BATCHES,
-};
+use simtest::{plan, run_seed_checked, Axes, FaultKind};
 
 const CI_SEEDS: u64 = 16;
 
-fn disk_opts(clients: usize) -> RunOptions {
-    RunOptions {
-        clients,
-        disk_faults: true,
-        ..RunOptions::default()
-    }
+fn axes(flags: &str) -> Axes {
+    flags.parse().expect("valid flags")
 }
 
 /// Every seed of the disk-fault sweep holds all oracles (twice each, via
@@ -30,8 +24,8 @@ fn disk_fault_sweep_holds_all_oracles() {
     let mut retries = 0u64;
     let mut eios = 0u64;
     for seed in 0..CI_SEEDS {
-        let r = run_seed_checked_with(seed, disk_opts(1), false).unwrap_or_else(|e| panic!("{e}"));
-        assert!(r.disk_faults, "report must carry the disk-faults flag");
+        let r = run_seed_checked(seed, &axes("--disk-faults")).unwrap_or_else(|e| panic!("{e}"));
+        assert!(r.axes.disk_faults, "report must carry the disk-faults flag");
         assert_eq!(
             r.ok_ops + r.timed_out_ops + r.eio_ops,
             r.ops,
@@ -64,10 +58,9 @@ fn disk_fault_sweep_holds_all_oracles() {
 fn disk_faults_overlap_and_cluster_hold_oracles() {
     for seed in 0..6u64 {
         for clients in [1usize, 2] {
-            let r = run_seed_checked_with(seed, disk_opts(clients), true)
-                .unwrap_or_else(|e| panic!("{e}"));
-            assert!(r.overlap && r.disk_faults);
-            assert_eq!(r.clients, clients);
+            let axes = axes(&format!("--clients {clients} --overlap --disk-faults"));
+            let r = run_seed_checked(seed, &axes).unwrap_or_else(|e| panic!("{e}"));
+            assert_eq!(r.axes, axes);
             assert_eq!(r.ok_ops + r.timed_out_ops + r.eio_ops, r.ops, "seed {seed}");
         }
     }
@@ -80,14 +73,14 @@ fn disk_faults_overlap_and_cluster_hold_oracles() {
 #[test]
 fn disk_plans_are_deterministic_and_complete() {
     for seed in 0..20u64 {
-        let a = plan_full(seed, DISK_BATCHES, false, true);
-        let b = plan_full(seed, DISK_BATCHES, false, true);
+        let a = plan(seed, &axes("--disk-faults"));
+        let b = plan(seed, &axes("--disk-faults"));
         assert_eq!(a.faults, b.faults, "seed {seed}");
         assert_eq!(a.transport, b.transport, "seed {seed}");
         let kinds: HashSet<FaultKind> = a.faults.iter().map(|&(_, k)| k).collect();
         assert_eq!(kinds.len(), 11, "all kinds scheduled: {:?}", a.faults);
 
-        let classic = plan_full(seed, DEFAULT_BATCHES, false, false);
+        let classic = plan(seed, &Axes::DEFAULT);
         assert_eq!(
             classic.transport, a.transport,
             "seed {seed}: transport draw must not depend on disk_faults"
@@ -119,7 +112,7 @@ fn disk_fault_sweep_is_bit_identical_across_job_counts() {
         simfleet::set_jobs_override(Some(jobs));
         let out = simfleet::map_indexed(&seeds, |&seed| {
             let r =
-                run_seed_checked_with(seed, disk_opts(1), false).unwrap_or_else(|e| panic!("{e}"));
+                run_seed_checked(seed, &axes("--disk-faults")).unwrap_or_else(|e| panic!("{e}"));
             (
                 r.fingerprint,
                 r.ops,

@@ -4,7 +4,7 @@
 //! captured from the pre-refactor engine; if one changes, the 1-client
 //! fast path stopped being the old world.
 
-use simtest::run_seed_checked;
+use simtest::{run_seed_checked, Axes};
 use testbed::experiments::{fig6_readahead_potential, Scale};
 
 /// FNV-1a of the figure's Debug rendering (f64 Debug round-trips exactly,
@@ -55,7 +55,7 @@ fn simtest_fingerprints_are_pinned_at_both_job_widths() {
         simfleet::set_jobs_override(Some(jobs));
         let fps: Vec<u64> = (0..8u64)
             .map(|s| {
-                run_seed_checked(s)
+                run_seed_checked(s, &Axes::DEFAULT)
                     .unwrap_or_else(|e| panic!("{e}"))
                     .fingerprint
             })
@@ -63,4 +63,71 @@ fn simtest_fingerprints_are_pinned_at_both_job_widths() {
         simfleet::set_jobs_override(None);
         assert_eq!(fps, SWEEP_FPS, "sweep fingerprints moved at jobs={jobs}");
     }
+}
+
+/// Every non-default mode, keyed by the flags that select it, pinned for
+/// seeds 0..5 (captured before the harness was rebuilt around `Axes`).
+/// The jobs=1 ≡ jobs=4 suites alone would miss a change that shifts one
+/// RNG draw in one workload arm.
+#[rustfmt::skip]
+const MODE_PINS: [(&str, [u64; 5]); 9] = [
+    ("--write-loss", [0xe861aff48e2fb762, 0x0a78109935f95b8d, 0xa3157431d31d490d, 0x25671b5262b3deb3, 0x1d58b000ae0e6879]),
+    ("--meta-storm", [0x18ca719e9b2a654b, 0x998d40ff3b3baeae, 0x4060ba72d7e6eea7, 0x08e99b53c45b625b, 0x027dd693b3acff0c]),
+    ("--disk-faults", DISK_FPS),
+    ("--transport tcp", [0xe25787ee9fbc3140, 0x171a9c6c3ccdae6d, 0x53cfdd64f0e890af, 0xa972dc25fb674d11, 0x9bebcedc9dd17d2c]),
+    ("--clients 2 --overlap", [0xa0f9438ed579550e, 0xc6c0bb988c8011bc, 0xb6d044d4cd3a81a3, 0x6ea0e2b3e740d248, 0xd5ba2dc0b6b2f4a0]),
+    ("--clients 2 --overlap --disk-faults", [0x8b2f6057dea38f34, 0xb808e4890baecabe, 0xd9144d9f32b8612f, 0x094af871c9e93ffe, 0x9b13e81513257a4c]),
+    ("--clients 2 --overlap --write-loss", [0x5d71b19110be9443, 0x0d97239078ed4a5a, 0xadbb06c7b47e0bc5, 0xd9897fd53903ca54, 0x056dcbd9e649b89d]),
+    ("--clients 2 --meta-storm --disk-faults", [0x9c737cd278ebc498, 0xa03c5459d985dba9, 0xb33502d0d015c791, 0xd3edfb35cef0c848, 0xbe9600c80023d642]),
+    ("--disk-faults --hist-oracle", DISK_FPS),
+];
+
+/// Disk-fault fingerprints; turning the latency-histogram oracle on must
+/// not move them (observation is passive).
+const DISK_FPS: [u64; 5] = [
+    0x6a07_5fbc_4d2a_b7d7,
+    0xec08_92f1_8a31_0197,
+    0xbc99_94c1_5cb2_64b8,
+    0x76b0_9649_fe6f_5c56,
+    0x200d_8345_031a_0463,
+];
+
+/// `(lat_p99_ns, lat_p999_ns)` under `--disk-faults --hist-oracle`,
+/// seeds 0..5.
+const DISK_HIST_TAILS: [(u64, u64); 5] = [
+    (202_937_204_736, 202_937_204_736),
+    (202_937_204_736, 202_937_204_736),
+    (202_937_204_736, 202_937_204_736),
+    (543_313_362_944, 547_608_330_240),
+    (202_937_204_736, 202_937_204_736),
+];
+
+fn axes(flags: &str) -> Axes {
+    flags.parse().expect("pinned flags parse")
+}
+
+#[test]
+fn every_mode_fingerprint_is_pinned() {
+    for (flags, want) in MODE_PINS {
+        let got: Vec<u64> = (0..5u64)
+            .map(|s| {
+                run_seed_checked(s, &axes(flags))
+                    .unwrap_or_else(|e| panic!("{e}"))
+                    .fingerprint
+            })
+            .collect();
+        assert_eq!(got, want, "{flags} fingerprints moved");
+    }
+}
+
+#[test]
+fn hist_oracle_tail_latencies_are_pinned() {
+    let got: Vec<(u64, u64)> = (0..5u64)
+        .map(|s| {
+            let r = run_seed_checked(s, &axes("--disk-faults --hist-oracle"))
+                .unwrap_or_else(|e| panic!("{e}"));
+            (r.lat_p99_ns, r.lat_p999_ns)
+        })
+        .collect();
+    assert_eq!(got, DISK_HIST_TAILS, "hist-oracle tail latencies moved");
 }

@@ -4,19 +4,15 @@
 //! reported tail quantiles are sane, and turning the oracle on does not
 //! move the world's fingerprint (observation is passive).
 
-use simtest::{run_seed_checked_with, RunOptions};
+use simtest::{run_seed_checked, Axes};
 
 const CI_SEEDS: u64 = 8;
 
 #[test]
 fn hist_oracle_holds_under_disk_faults() {
     for seed in 0..CI_SEEDS {
-        let opts = RunOptions {
-            disk_faults: true,
-            hist_oracle: true,
-            ..RunOptions::default()
-        };
-        let r = run_seed_checked_with(seed, opts, false).unwrap_or_else(|e| panic!("{e}"));
+        let axes = "--disk-faults --hist-oracle".parse().unwrap();
+        let r = run_seed_checked(seed, &axes).unwrap_or_else(|e| panic!("{e}"));
         assert!(
             r.lat_p99_ns > 0,
             "seed {seed}: a faulted run must have nonzero p99"
@@ -35,17 +31,9 @@ fn hist_oracle_holds_under_disk_faults() {
 #[test]
 fn hist_collection_is_passive() {
     for seed in [0u64, 5] {
-        let off = run_seed_checked_with(seed, RunOptions::default(), false)
+        let off = run_seed_checked(seed, &Axes::DEFAULT).unwrap_or_else(|e| panic!("{e}"));
+        let on = run_seed_checked(seed, &"--hist-oracle".parse().unwrap())
             .unwrap_or_else(|e| panic!("{e}"));
-        let on = run_seed_checked_with(
-            seed,
-            RunOptions {
-                hist_oracle: true,
-                ..RunOptions::default()
-            },
-            false,
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(
             off.fingerprint, on.fingerprint,
             "seed {seed}: observing latencies must not perturb the world"

@@ -11,18 +11,15 @@
 use std::sync::Mutex;
 
 use netsim::TransportKind;
-use simtest::{
-    plan, plan_forced, run_plan, run_seed_checked, run_seed_checked_with, RunOptions,
-    DEFAULT_BATCHES,
-};
+use simtest::{plan, run_plan, run_seed_checked, Axes, Workload};
 
 const CI_SEEDS: u64 = 10;
 
-fn meta_storm_opts() -> RunOptions {
-    RunOptions {
-        meta_storm: true,
-        ..RunOptions::default()
-    }
+/// `--meta-storm` plus the `extra` flags.
+fn storm(extra: &str) -> Axes {
+    format!("--meta-storm {extra}")
+        .parse()
+        .expect("valid flags")
 }
 
 /// The jobs override is process-global; serialize tests that flip it.
@@ -40,9 +37,8 @@ fn meta_storm_sweep_holds_all_oracles_and_the_cache_fires() {
     let mut revalidations = 0u64;
     let mut stale = 0u64;
     for seed in 0..CI_SEEDS {
-        let r =
-            run_seed_checked_with(seed, meta_storm_opts(), false).unwrap_or_else(|e| panic!("{e}"));
-        assert!(r.meta_storm);
+        let r = run_seed_checked(seed, &storm("")).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(r.axes.workload, Workload::MetaStorm);
         assert_eq!(
             r.ok_ops + r.timed_out_ops + r.eio_ops,
             r.ops,
@@ -75,8 +71,8 @@ fn meta_storm_sweep_holds_all_oracles_and_the_cache_fires() {
 #[test]
 fn clean_runs_keep_the_attr_cache_dormant() {
     for seed in 0..4u64 {
-        let r = run_seed_checked(seed).unwrap_or_else(|e| panic!("{e}"));
-        assert!(!r.meta_storm, "seed {seed}");
+        let r = run_seed_checked(seed, &Axes::DEFAULT).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(r.axes.workload, Workload::Read, "seed {seed}");
         assert_eq!(r.attr_cache_hits, 0, "seed {seed}");
         assert_eq!(r.attr_revalidations, 0, "seed {seed}");
         assert_eq!(r.attr_stale_detected, 0, "seed {seed}");
@@ -91,24 +87,15 @@ fn clean_runs_keep_the_attr_cache_dormant() {
 fn meta_storm_composes_with_cluster_and_overlap() {
     let mut diverged = false;
     for seed in 0..4u64 {
-        let single =
-            run_seed_checked_with(seed, meta_storm_opts(), false).unwrap_or_else(|e| panic!("{e}"));
-        let cluster = run_seed_checked_with(
-            seed,
-            RunOptions {
-                clients: 2,
-                ..meta_storm_opts()
-            },
-            false,
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(cluster.clients, 2, "seed {seed}");
+        let single = run_seed_checked(seed, &storm("")).unwrap_or_else(|e| panic!("{e}"));
+        let cluster =
+            run_seed_checked(seed, &storm("--clients 2")).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(cluster.axes.clients, 2, "seed {seed}");
         if cluster.fingerprint != single.fingerprint {
             diverged = true;
         }
-        let paired =
-            run_seed_checked_with(seed, meta_storm_opts(), true).unwrap_or_else(|e| panic!("{e}"));
-        assert!(paired.overlap, "seed {seed}");
+        let paired = run_seed_checked(seed, &storm("--overlap")).unwrap_or_else(|e| panic!("{e}"));
+        assert!(paired.axes.overlap, "seed {seed}");
         assert!(paired.attr_cache_hits > 0, "seed {seed}");
     }
     assert!(diverged, "2-client storm runs must explore different runs");
@@ -120,17 +107,9 @@ fn meta_storm_composes_with_cluster_and_overlap() {
 #[test]
 fn meta_storm_composes_with_disk_faults() {
     for seed in 0..3u64 {
-        let r = run_seed_checked_with(
-            seed,
-            RunOptions {
-                disk_faults: true,
-                ..meta_storm_opts()
-            },
-            false,
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        assert!(r.disk_faults, "seed {seed}");
-        assert!(r.meta_storm, "seed {seed}");
+        let axes = storm("--disk-faults");
+        let r = run_seed_checked(seed, &axes).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(r.axes, axes, "seed {seed}");
         assert!(r.attr_cache_hits > 0, "seed {seed}");
     }
 }
@@ -141,14 +120,8 @@ fn meta_storm_composes_with_disk_faults() {
 #[test]
 fn meta_storm_holds_under_forced_tcp() {
     for seed in 0..3u64 {
-        let p = plan_forced(
-            seed,
-            DEFAULT_BATCHES,
-            false,
-            false,
-            Some(TransportKind::Tcp),
-        );
-        let r = run_plan(&p, meta_storm_opts()).unwrap_or_else(|e| panic!("{e}"));
+        let axes = storm("--transport tcp");
+        let r = run_plan(&plan(seed, &axes), 0).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(r.transport, TransportKind::Tcp, "seed {seed}");
         assert_eq!(r.retransmits, 0, "seed {seed}: TCP never retransmits RPCs");
         assert!(r.attr_cache_hits > 0, "seed {seed}");
@@ -162,16 +135,10 @@ fn meta_storm_holds_under_forced_tcp() {
 #[test]
 fn meta_storm_failures_print_the_mode_flag() {
     let seed = (0..100)
-        .find(|&s| plan(s, DEFAULT_BATCHES).transport == TransportKind::Udp)
+        .find(|&s| plan(s, &storm("")).transport == TransportKind::Udp)
         .expect("a UDP seed among the first 100");
-    let err = run_plan(
-        &plan(seed, DEFAULT_BATCHES),
-        RunOptions {
-            sabotage_replies: 1,
-            ..meta_storm_opts()
-        },
-    )
-    .expect_err("a swallowed reply must trip an oracle");
+    let err =
+        run_plan(&plan(seed, &storm("")), 1).expect_err("a swallowed reply must trip an oracle");
     let msg = err.to_string();
     assert!(
         msg.contains(&format!("SIMTEST_SEED={seed}")),
@@ -190,8 +157,7 @@ fn meta_storm_sweep_is_bit_identical_across_job_counts() {
         let _guard = JOBS_LOCK.lock().unwrap();
         simfleet::set_jobs_override(Some(jobs));
         let out = simfleet::map_indexed(&seeds, |&seed| {
-            let r = run_seed_checked_with(seed, meta_storm_opts(), false)
-                .unwrap_or_else(|e| panic!("{e}"));
+            let r = run_seed_checked(seed, &storm("")).unwrap_or_else(|e| panic!("{e}"));
             (
                 r.fingerprint,
                 r.ops,
@@ -210,24 +176,4 @@ fn meta_storm_sweep_is_bit_identical_across_job_counts() {
         serial, parallel,
         "meta-storm sweep diverged between jobs=1 and jobs=4"
     );
-}
-
-/// `--write-loss` wins when both modes are requested: the workload stays
-/// the crash-consistency mix and the attribute cache stays disarmed, so
-/// the close books keep their exact shape.
-#[test]
-fn write_loss_wins_over_meta_storm() {
-    let r = run_seed_checked_with(
-        0,
-        RunOptions {
-            write_loss: true,
-            ..meta_storm_opts()
-        },
-        false,
-    )
-    .unwrap_or_else(|e| panic!("{e}"));
-    assert!(r.write_loss);
-    assert!(!r.meta_storm, "the write-loss workload must win");
-    assert_eq!(r.attr_cache_hits, 0);
-    assert!(r.unstable_writes > 0);
 }

@@ -6,8 +6,7 @@
 
 use std::sync::Mutex;
 
-use netsim::TransportKind;
-use simtest::{run_seed_checked, run_seed_checked_forced, RunOptions};
+use simtest::{run_seed_checked, Axes};
 use testbed::experiments::{fig1_zcav, Scale};
 
 /// The jobs override is process-global; serialize tests that flip it.
@@ -27,7 +26,7 @@ fn simtest_sweep_is_bit_identical_across_job_counts() {
     let sweep = |jobs| {
         with_jobs(jobs, || {
             simfleet::map_indexed(&seeds, |&seed| {
-                let r = run_seed_checked(seed).unwrap_or_else(|e| panic!("{e}"));
+                let r = run_seed_checked(seed, &Axes::DEFAULT).unwrap_or_else(|e| panic!("{e}"));
                 (r.fingerprint, r.ops, r.ok_ops, r.timed_out_ops, r.sim_nanos)
             })
         })
@@ -48,13 +47,8 @@ fn forced_tcp_sweep_is_bit_identical_across_job_counts() {
     let sweep = |jobs| {
         with_jobs(jobs, || {
             simfleet::map_indexed(&seeds, |&seed| {
-                let r = run_seed_checked_forced(
-                    seed,
-                    RunOptions::default(),
-                    false,
-                    Some(TransportKind::Tcp),
-                )
-                .unwrap_or_else(|e| panic!("{e}"));
+                let tcp = "--transport tcp".parse().unwrap();
+                let r = run_seed_checked(seed, &tcp).unwrap_or_else(|e| panic!("{e}"));
                 (r.fingerprint, r.ops, r.ok_ops, r.timed_out_ops, r.sim_nanos)
             })
         })

@@ -9,18 +9,15 @@
 use std::sync::Mutex;
 
 use netsim::TransportKind;
-use simtest::{
-    plan, plan_forced, run_plan, run_seed_checked, run_seed_checked_with, FaultKind, RunOptions,
-    DEFAULT_BATCHES,
-};
+use simtest::{plan, run_plan, run_seed_checked, Axes, FaultKind, Workload};
 
 const CI_SEEDS: u64 = 10;
 
-fn write_loss_opts() -> RunOptions {
-    RunOptions {
-        write_loss: true,
-        ..RunOptions::default()
-    }
+/// `--write-loss` plus the `extra` flags.
+fn write_loss(extra: &str) -> Axes {
+    format!("--write-loss {extra}")
+        .parse()
+        .expect("valid flags")
 }
 
 /// The jobs override is process-global; serialize tests that flip it.
@@ -39,9 +36,8 @@ fn write_loss_sweep_holds_all_oracles_and_loses_data() {
     let mut unstable = 0u64;
     let mut gathered = 0u64;
     for seed in 0..CI_SEEDS {
-        let r =
-            run_seed_checked_with(seed, write_loss_opts(), false).unwrap_or_else(|e| panic!("{e}"));
-        assert!(r.write_loss);
+        let r = run_seed_checked(seed, &write_loss("")).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(r.axes.workload, Workload::WriteLoss);
         assert_eq!(
             r.ok_ops + r.timed_out_ops + r.eio_ops,
             r.ops,
@@ -87,8 +83,8 @@ fn write_loss_sweep_holds_all_oracles_and_loses_data() {
 #[test]
 fn clean_runs_keep_the_async_machinery_dormant() {
     for seed in 0..4u64 {
-        let r = run_seed_checked(seed).unwrap_or_else(|e| panic!("{e}"));
-        assert!(!r.write_loss, "seed {seed}");
+        let r = run_seed_checked(seed, &Axes::DEFAULT).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(r.axes.workload, Workload::Read, "seed {seed}");
         assert_eq!(r.unstable_writes, 0, "seed {seed}");
         assert_eq!(r.commits, 0, "seed {seed}");
         assert_eq!(r.gather_flushes, 0, "seed {seed}");
@@ -107,24 +103,16 @@ fn clean_runs_keep_the_async_machinery_dormant() {
 fn write_loss_composes_with_cluster_and_overlap() {
     let mut diverged = false;
     for seed in 0..4u64 {
-        let single =
-            run_seed_checked_with(seed, write_loss_opts(), false).unwrap_or_else(|e| panic!("{e}"));
-        let cluster = run_seed_checked_with(
-            seed,
-            RunOptions {
-                clients: 2,
-                ..write_loss_opts()
-            },
-            false,
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(cluster.clients, 2, "seed {seed}");
+        let single = run_seed_checked(seed, &write_loss("")).unwrap_or_else(|e| panic!("{e}"));
+        let cluster =
+            run_seed_checked(seed, &write_loss("--clients 2")).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(cluster.axes.clients, 2, "seed {seed}");
         if cluster.fingerprint != single.fingerprint {
             diverged = true;
         }
         let paired =
-            run_seed_checked_with(seed, write_loss_opts(), true).unwrap_or_else(|e| panic!("{e}"));
-        assert!(paired.overlap, "seed {seed}");
+            run_seed_checked(seed, &write_loss("--overlap")).unwrap_or_else(|e| panic!("{e}"));
+        assert!(paired.axes.overlap, "seed {seed}");
         assert!(paired.restarts >= 1, "seed {seed}");
     }
     assert!(
@@ -139,14 +127,8 @@ fn write_loss_composes_with_cluster_and_overlap() {
 #[test]
 fn write_loss_holds_under_forced_tcp() {
     for seed in 0..3u64 {
-        let p = plan_forced(
-            seed,
-            DEFAULT_BATCHES,
-            false,
-            false,
-            Some(TransportKind::Tcp),
-        );
-        let r = run_plan(&p, write_loss_opts()).unwrap_or_else(|e| panic!("{e}"));
+        let axes = write_loss("--transport tcp");
+        let r = run_plan(&plan(seed, &axes), 0).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(r.transport, TransportKind::Tcp, "seed {seed}");
         assert_eq!(r.retransmits, 0, "seed {seed}: TCP never retransmits RPCs");
         assert!(r.restarts >= 1, "seed {seed}");
@@ -160,16 +142,10 @@ fn write_loss_holds_under_forced_tcp() {
 #[test]
 fn write_loss_failures_print_the_mode_flag() {
     let seed = (0..100)
-        .find(|&s| plan(s, DEFAULT_BATCHES).transport == TransportKind::Udp)
+        .find(|&s| plan(s, &write_loss("")).transport == TransportKind::Udp)
         .expect("a UDP seed among the first 100");
-    let err = run_plan(
-        &plan(seed, DEFAULT_BATCHES),
-        RunOptions {
-            sabotage_replies: 1,
-            ..write_loss_opts()
-        },
-    )
-    .expect_err("a swallowed reply must trip an oracle");
+    let err = run_plan(&plan(seed, &write_loss("")), 1)
+        .expect_err("a swallowed reply must trip an oracle");
     let msg = err.to_string();
     assert!(
         msg.contains(&format!("SIMTEST_SEED={seed}")),
@@ -188,8 +164,7 @@ fn write_loss_sweep_is_bit_identical_across_job_counts() {
         let _guard = JOBS_LOCK.lock().unwrap();
         simfleet::set_jobs_override(Some(jobs));
         let out = simfleet::map_indexed(&seeds, |&seed| {
-            let r = run_seed_checked_with(seed, write_loss_opts(), false)
-                .unwrap_or_else(|e| panic!("{e}"));
+            let r = run_seed_checked(seed, &write_loss("")).unwrap_or_else(|e| panic!("{e}"));
             (
                 r.fingerprint,
                 r.ops,
