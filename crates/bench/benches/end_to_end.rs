@@ -95,6 +95,14 @@ fn main() {
         black_box(b.run(4).throughput_mbs);
     });
 
+    // One Fig 4 cell past the server's 20k-block (160 MB) buffer cache, so
+    // every read past the first 160 MB evicts: the 8 MB cases above fit in
+    // the cache and never reach the eviction path.
+    bench(out, "simulate_nfs/udp_8_readers_256mb_evict", iters, || {
+        let mut b = NfsBench::new(Rig::ide(1), WorldConfig::default(), &[8], 256, 1);
+        black_box(b.run(8).throughput_mbs);
+    });
+
     let cfg = WorldConfig {
         policy: ReadaheadPolicy::cursor(),
         heur: NfsHeurConfig::improved(),

@@ -195,6 +195,19 @@ fn bench_buffer_cache(out: &mut Vec<BenchResult>, iters: u64) {
         blk += 1;
         bc.fill((1, blk));
     });
+
+    // The server's default capacity (20k blocks, 160 MB), filled first so
+    // every timed fill evicts.
+    let mut bc = BufferCache::new(20_000);
+    let mut blk = 0u64;
+    while bc.len() < 20_000 {
+        blk += 1;
+        bc.fill((1, blk));
+    }
+    bench(out, "buffer_cache_evicting_fill_20k", iters, || {
+        blk += 1;
+        bc.fill((1, blk));
+    });
 }
 
 fn bench_drive_cache(out: &mut Vec<BenchResult>, iters: u64) {
@@ -237,8 +250,9 @@ fn bench_disk_service(out: &mut Vec<BenchResult>, iters: u64) {
 /// * `--json P` — write the measurements to `P` as JSON;
 /// * `--baseline P` — copy `ns_per_op` from the report at `P` into this
 ///   run's output as `baseline_ns_per_op` (before/after provenance);
-/// * `--check P` — exit non-zero if any `event_queue*`/`nfsheur*` case
-///   runs more than 3x slower than the report at `P` records.
+/// * `--check P` — exit non-zero if any `event_queue*`/`nfsheur*`/
+///   `buffer_cache*` case runs more than 3x slower than the report at `P`
+///   records.
 struct Options {
     testing: bool,
     quick: bool,
@@ -277,7 +291,7 @@ fn load_report(path: &str) -> PerfReport {
 }
 
 /// Hot-path cases gated by `--check`; the tentpole's regression fence.
-const GATED_PREFIXES: &[&str] = &["event_queue", "nfsheur"];
+const GATED_PREFIXES: &[&str] = &["event_queue", "nfsheur", "buffer_cache"];
 const GATE_FACTOR: f64 = 3.0;
 
 fn main() {

@@ -6,8 +6,16 @@
 //! duplicating it. Capacity is counted in blocks, sized from the machine's
 //! RAM (the paper's server has 256 MB, which is why its 1.5 GB benchmark
 //! working set defeats caching, §4.3.1).
+//!
+//! Eviction is exact LRU over valid blocks without a per-entry index: one
+//! pass over the map collects a batch of the oldest valid `(stamp, key)`
+//! pairs, and evictions pop that batch until it runs dry. Stamps are
+//! unique and only grow, so every block left out of a batch is newer than
+//! every block in it, and a candidate whose block has since been looked
+//! up, removed, marked pending or filled again carries a stale stamp and is
+//! skipped.
 
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Cache key: inode number and file-block index.
 pub type BlockKey = (u64, u64);
@@ -32,6 +40,8 @@ struct Entry {
 pub struct BufferCache {
     capacity: usize,
     map: HashMap<BlockKey, Entry>,
+    /// Eviction candidates, newest first so `pop` yields the oldest.
+    victims: Vec<(u64, BlockKey)>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -48,6 +58,7 @@ impl BufferCache {
         BufferCache {
             capacity,
             map: HashMap::new(),
+            victims: Vec::new(),
             clock: 0,
             hits: 0,
             misses: 0,
@@ -70,13 +81,15 @@ impl BufferCache {
     }
 
     /// Approximate heap bytes behind this cache (hash-map backing store,
-    /// estimated from its capacity). Used for fleet-scale memory
-    /// accounting; excludes `size_of::<BufferCache>()` itself.
+    /// estimated from its capacity, plus the eviction candidate list).
+    /// Used for fleet-scale memory accounting; excludes
+    /// `size_of::<BufferCache>()` itself.
     pub fn approx_heap_bytes(&self) -> usize {
         self.map.capacity()
             * (std::mem::size_of::<BlockKey>()
                 + std::mem::size_of::<Entry>()
                 + std::mem::size_of::<u64>())
+            + self.victims.capacity() * std::mem::size_of::<(u64, BlockKey)>()
     }
 
     /// Looks up a block for a read, bumping LRU on hit.
@@ -162,13 +175,7 @@ impl BufferCache {
     fn evict_if_needed(&mut self) {
         while self.map.len() >= self.capacity {
             // Evict the least recently used *valid* entry.
-            let victim = self
-                .map
-                .iter()
-                .filter(|(_, e)| e.state == State::Valid)
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k);
-            match victim {
+            match self.next_victim() {
                 Some(k) => {
                     self.map.remove(&k);
                 }
@@ -177,6 +184,46 @@ impl BufferCache {
                 None => break,
             }
         }
+    }
+
+    /// The least recently used valid block, or `None` if every resident
+    /// block is pending.
+    fn next_victim(&mut self) -> Option<BlockKey> {
+        loop {
+            while let Some((stamp, key)) = self.victims.pop() {
+                // Every call that keeps a block restamps it, so an
+                // unchanged stamp means still valid and still this old.
+                if self.map.get(&key).is_some_and(|e| e.stamp == stamp) {
+                    return Some(key);
+                }
+            }
+            self.refill_victims();
+            if self.victims.is_empty() {
+                return None;
+            }
+        }
+    }
+
+    /// Refills the candidate list with the oldest valid blocks, one pass
+    /// over the map keeping a bounded max-heap of the batch so far.
+    fn refill_victims(&mut self) {
+        let batch = (self.capacity / 16).clamp(1, 4_096);
+        let mut heap = BinaryHeap::from(std::mem::take(&mut self.victims));
+        heap.reserve_exact(batch);
+        for (k, e) in &self.map {
+            if e.state != State::Valid {
+                continue;
+            }
+            if heap.len() < batch {
+                heap.push((e.stamp, *k));
+            } else if let Some(mut newest) = heap.peek_mut() {
+                if e.stamp < newest.0 {
+                    *newest = (e.stamp, *k);
+                }
+            }
+        }
+        self.victims = heap.into_sorted_vec();
+        self.victims.reverse();
     }
 }
 
@@ -280,5 +327,66 @@ mod tests {
         let (hits, misses) = c.hit_miss();
         assert_eq!(hits, 0, "LRU cycling gives zero hits");
         assert_eq!(misses, 300);
+    }
+
+    /// A full cache of 32 valid blocks, 0..32 in LRU order; 32 blocks make
+    /// a candidate batch of two.
+    fn full_32() -> BufferCache {
+        let mut c = BufferCache::new(32);
+        for b in 0..32 {
+            c.fill((1, b));
+        }
+        c
+    }
+
+    #[test]
+    fn candidate_touched_since_its_batch_is_skipped() {
+        let mut c = full_32();
+        c.fill((1, 32)); // Batch {0, 1}; evicts 0.
+        assert_eq!(c.victims, vec![(2, (1, 1))]);
+        assert!(c.lookup((1, 1))); // Block 1 is now the newest.
+        c.fill((1, 33)); // Skips stale 1, refills {2, 3}, evicts 2.
+        assert!(c.peek((1, 1)));
+        assert!(!c.peek((1, 2)));
+        assert!(c.peek((1, 3)));
+        assert_eq!(c.len(), 32);
+    }
+
+    #[test]
+    fn mark_pending_on_the_lru_block_evicts_it_first() {
+        let mut c = BufferCache::new(2);
+        c.fill((1, 0));
+        c.fill((1, 1));
+        // Block 0 is the LRU valid block: it is evicted, then re-inserted
+        // as pending, so block 1 survives.
+        c.mark_pending((1, 0));
+        assert!(c.is_pending((1, 0)));
+        assert!(c.peek((1, 1)));
+        assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn all_pending_with_stale_candidates_overflows_by_one() {
+        let mut c = full_32();
+        c.fill((1, 32)); // Leaves candidate 1 in the list.
+        for b in 1..=32 {
+            c.invalidate((1, b));
+        }
+        for b in 1..=32 {
+            c.mark_pending((1, b)); // Candidate 1 is now a pending block.
+        }
+        assert!(!c.victims.is_empty());
+        c.fill((1, 99));
+        assert_eq!(c.len(), 33);
+        assert!((1..=32).all(|b| c.is_pending((1, b))));
+        assert!(c.peek((1, 99)));
+    }
+
+    #[test]
+    fn heap_books_count_the_candidate_list() {
+        let mut c = full_32();
+        let before = c.approx_heap_bytes();
+        c.fill((1, 32));
+        assert!(c.approx_heap_bytes() > before);
     }
 }
